@@ -550,17 +550,18 @@ class FastMachine:
     # state snapshot / restore (streaming support)                       #
     # ------------------------------------------------------------------ #
 
-    def snapshot_state(self, b_indices: Optional[Sequence[int]] = None) -> tuple:
+    def snapshot_state(self) -> tuple:
         """The hierarchy's state as one hashable token (counters excluded).
 
-        ``b_indices`` restricts the b-cache tag snapshot to the given set
-        indices — callers that replay a closed alphabet of traces (the
-        traffic engine) pass the union of indices those traces can touch,
-        keeping tokens small.  Restoring such a token is only sound on a
-        machine whose other b-cache sets are untouched since reset.
+        The b-cache part is the frozenset of *resident* blocks, not the
+        tag array: block ``b`` can only sit in set ``b % sets``, so a
+        direct-mapped tag array is determined by the blocks it holds, and
+        every tag the kernel installs is in ``b_ever``.  Two tokens are
+        therefore equal exactly when the two states are, and a token costs
+        O(|b_ever|) rather than O(b-cache sets).
         """
         bt = self._btags
-        b_part = tuple(bt) if b_indices is None else tuple(bt[i] for i in b_indices)
+        n = self._b_nblocks
         if self._coalescing:
             wb_tok: tuple = tuple(
                 (pair, tuple(self._wb_pairs[pair])) for pair in self._wb
@@ -570,7 +571,7 @@ class FastMachine:
         return (
             tuple(self._itags),
             tuple(self._dtags),
-            b_part,
+            frozenset([b for b in self._b_ever if bt[b % n] == b]),
             frozenset(self._i_ever),
             frozenset(self._d_ever),
             frozenset(self._b_ever),
@@ -579,19 +580,21 @@ class FastMachine:
             self._sb_was_miss,
         )
 
-    def restore_state(
-        self, snap: tuple, b_indices: Optional[Sequence[int]] = None
-    ) -> None:
-        """Restore a :meth:`snapshot_state` token (counters untouched)."""
-        itags, dtags, b_part, i_ever, d_ever, b_ever, wb, sb, sbm = snap
+    def restore_state(self, snap: tuple) -> None:
+        """Restore a :meth:`snapshot_state` token (counters untouched).
+
+        Only the sets of the current ``b_ever`` can hold a tag, so those
+        are cleared and the token's resident blocks written back.
+        """
+        itags, dtags, resident, i_ever, d_ever, b_ever, wb, sb, sbm = snap
         self._itags[:] = itags
         self._dtags[:] = dtags
-        if b_indices is None:
-            self._btags[:] = b_part
-        else:
-            bt = self._btags
-            for i, tag in zip(b_indices, b_part):
-                bt[i] = tag
+        bt = self._btags
+        n = self._b_nblocks
+        for b in self._b_ever:
+            bt[b % n] = -1
+        for b in resident:
+            bt[b % n] = b
         self._i_ever = set(i_ever)
         self._d_ever = set(d_ever)
         self._b_ever = set(b_ever)

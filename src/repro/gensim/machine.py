@@ -404,27 +404,28 @@ class GenMachine:
                 self._state = SourceState(mem)
         return self._state
 
-    def snapshot_state(self, b_indices=None) -> tuple:
+    def snapshot_state(self) -> tuple:
         """The hierarchy's state as one hashable token (counters and the
         provenance token excluded); mirrors
-        :meth:`repro.arch.fastsim.FastMachine.snapshot_state`."""
+        :meth:`repro.arch.fastsim.FastMachine.snapshot_state`, including
+        its resident-block b-cache part."""
         st = self._shaped_state()
+        n = self.config.memory.bcache_size // self.config.memory.block_size
         if self.path == "vector":
-            import numpy as np
-
-            bt = st.btags if b_indices is None else st.btags[np.asarray(b_indices)]
+            # b_ever is sorted and unique, so the resident blocks are too
+            ever = st.b_ever
             return (
                 st.itags.tobytes(),
                 st.dtags.tobytes(),
-                bt.tobytes(),
+                ever[st.btags[ever % n] == ever].tobytes(),
                 st.i_ever.tobytes(),
                 st.d_ever.tobytes(),
-                st.b_ever.tobytes(),
+                ever.tobytes(),
                 tuple(st.wb),
                 st.sb_block,
                 st.sb_was_miss,
             )
-        bt = st.btags if b_indices is None else [st.btags[i] for i in b_indices]
+        bt = st.btags
         if self.config.memory.write_coalescing:
             wb_tok: tuple = tuple(
                 (pair, tuple(st.wb_pairs[pair])) for pair in st.wb
@@ -434,7 +435,7 @@ class GenMachine:
         return (
             tuple(st.itags),
             tuple(st.dtags),
-            tuple(bt),
+            frozenset([b for b in st.b_ever if bt[b % n] == b]),
             frozenset(st.i_ever),
             frozenset(st.d_ever),
             frozenset(st.b_ever),
@@ -443,9 +444,7 @@ class GenMachine:
             st.sb_was_miss,
         )
 
-    def restore_state(
-        self, snap: tuple, b_indices=None, *, token: str = "restored"
-    ) -> None:
+    def restore_state(self, snap: tuple, *, token: str = "restored") -> None:
         """Restore a :meth:`snapshot_state` token.
 
         ``token`` becomes the vector state's provenance: the caller must
@@ -453,18 +452,18 @@ class GenMachine:
         are assumed bit-identical by the transition-replay memo).
         """
         st = self._shaped_state()
-        itags, dtags, b_part, i_ever, d_ever, b_ever, wb, sb, sbm = snap
+        n = self.config.memory.bcache_size // self.config.memory.block_size
+        itags, dtags, resident, i_ever, d_ever, b_ever, wb, sb, sbm = snap
         if self.path == "vector":
             import numpy as np
 
             i64 = np.int64
             st.itags = np.frombuffer(itags, dtype=i64).copy()
             st.dtags = np.frombuffer(dtags, dtype=i64).copy()
-            b_tags = np.frombuffer(b_part, dtype=i64)
-            if b_indices is None:
-                st.btags = b_tags.copy()
-            else:
-                st.btags[np.asarray(b_indices)] = b_tags
+            # every set but the resident blocks' is empty
+            blocks = np.frombuffer(resident, dtype=i64)
+            st.btags = np.full(n, -1, dtype=i64)
+            st.btags[blocks % n] = blocks
             st.i_ever = np.frombuffer(i_ever, dtype=i64).copy()
             st.d_ever = np.frombuffer(d_ever, dtype=i64).copy()
             st.b_ever = np.frombuffer(b_ever, dtype=i64).copy()
@@ -473,11 +472,11 @@ class GenMachine:
         else:
             st.itags[:] = itags
             st.dtags[:] = dtags
-            if b_indices is None:
-                st.btags[:] = b_part
-            else:
-                for i, tag in zip(b_indices, b_part):
-                    st.btags[i] = tag
+            bt = st.btags
+            for b in st.b_ever:
+                bt[b % n] = -1
+            for b in resident:
+                bt[b % n] = b
             st.i_ever = set(i_ever)
             st.d_ever = set(d_ever)
             st.b_ever = set(b_ever)

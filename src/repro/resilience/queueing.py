@@ -151,10 +151,10 @@ def simulate_queue(
     # capped at queue_capacity under drop-tail, so it stays bounded
     in_system: deque = deque()
     server_free = 0
-    # bounded: distinct sojourn values of one load point
-    hist: Counter = Counter()
+    # bounded: one entry per admitted packet of one load point
+    sojourns: List[int] = []
+    add_sojourn = sojourns.append
     dropped = 0
-    max_sojourn = 0
     arrival = 0
     for i, service in enumerate(services):
         arrival = (i * base_cycles * 100) // load_pct
@@ -167,13 +167,10 @@ def simulate_queue(
         finish = start + service
         server_free = finish
         in_system.append(finish)
-        sojourn = finish - arrival
-        hist[sojourn] += 1
-        if sojourn > max_sojourn:
-            max_sojourn = sojourn
+        add_sojourn(finish - arrival)
     offered = len(services)
     admitted = offered - dropped
-    p50, p99, p999 = percentiles(hist, (0.50, 0.99, 0.999))
+    p50, p99, p999 = percentiles(Counter(sojourns), (0.50, 0.99, 0.999))
     end_backlog = server_free - arrival if server_free > arrival else 0
     if drop_tail:
         saturated = dropped > 0
@@ -187,7 +184,7 @@ def simulate_queue(
         p50=p50,
         p99=p99,
         p999=p999,
-        max_sojourn=max_sojourn,
+        max_sojourn=max(sojourns, default=0),
         end_backlog=end_backlog,
         saturated=saturated,
     )

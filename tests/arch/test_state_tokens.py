@@ -1,0 +1,220 @@
+"""Machine-state tokens are exact: equal tokens ⟺ equal states.
+
+The streaming engine interns machine states by ``snapshot_state()``
+tokens and jumps between them with ``restore_state()``, so a token must
+be a bijection onto the state a pass can observe, and a restore must
+reproduce that state from any other.  The b-cache part of a token is its
+set of resident blocks rather than the tag array, which only works if
+every installed tag is in ``b_ever`` and a restore clears every set the
+machine's current ``b_ever`` can occupy.
+
+These properties run on tiny geometries whose b-cache sets alias
+(8–64 sets), under every store mode, against random packed segments and
+random pass/restore sequences, on the fast engine and both gensim paths.
+"""
+
+from __future__ import annotations
+
+from itertools import count
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch.fastsim import FastMachine
+from repro.arch.isa import Op
+from repro.arch.memory import MemoryConfig
+from repro.arch.packed import OP_CODES, PackedTrace
+from repro.arch.simulator import AlphaConfig
+from repro.gensim import GenMachine, have_numpy
+from repro.gensim.machine import SourceState
+
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="the vector path needs numpy")
+
+ENGINES = ["fast", "source", pytest.param("vector", marks=needs_numpy)]
+
+#: provenance tokens for gensim restores: unique per restore, so the
+#: vector path's transition memo never replays across distinct states
+_PROVENANCE = count()
+
+_OPS = (Op.ALU, Op.BR, Op.LOAD, Op.STORE)
+
+
+@st.composite
+def configs(draw) -> AlphaConfig:
+    block = 32
+    mem = MemoryConfig(
+        icache_size=block * draw(st.sampled_from([2, 4, 8])),
+        dcache_size=block * draw(st.sampled_from([2, 4, 8])),
+        bcache_size=block * draw(st.sampled_from([8, 16, 32, 64])),
+        block_size=block,
+        write_buffer_depth=draw(st.integers(min_value=1, max_value=4)),
+        write_coalescing=draw(st.booleans()),
+        non_allocating_writes=draw(st.booleans()),
+    )
+    return AlphaConfig(memory=mem)
+
+
+#: one instruction: (pc word, op, data word, taken); pcs and data span a
+#: few hundred blocks so code and data alias in every b-cache drawn
+_INSTRUCTIONS = st.tuples(
+    st.integers(min_value=0, max_value=2_047),
+    st.sampled_from(_OPS),
+    st.integers(min_value=0, max_value=2_047),
+    st.booleans(),
+)
+
+
+def _segment(instructions) -> PackedTrace:
+    packed = PackedTrace()
+    for pc_word, op, d_word, taken in instructions:
+        memory = op in (Op.LOAD, Op.STORE)
+        packed.append(
+            pc_word * 4,
+            OP_CODES[op],
+            daddr=d_word * 4 if memory else -1,
+            dwrite=op is Op.STORE,
+            taken=taken and op is Op.BR,
+        )
+    return packed
+
+
+SEGMENTS = st.lists(
+    st.lists(_INSTRUCTIONS, min_size=1, max_size=40).map(_segment),
+    min_size=1,
+    max_size=4,
+)
+
+#: (action, argument): pass a segment on the producer, restore an earlier
+#: token onto it, or let the replayer wander off on its own
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["pass", "pass", "restore", "diverge"]),
+        st.integers(min_value=0, max_value=63),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _machine(engine: str, config: AlphaConfig):
+    if engine == "fast":
+        return FastMachine(config)
+    return GenMachine(config, path=engine)
+
+
+def _restore(machine, token: tuple) -> None:
+    if isinstance(machine, FastMachine):
+        machine.restore_state(token)
+    else:
+        machine.restore_state(token, token=f"prop{next(_PROVENANCE)}")
+
+
+def _full_state(machine) -> tuple:
+    """Everything a pass can observe, read off the machine directly: the
+    whole tag arrays, the ever-resident sets, both buffers."""
+    if isinstance(machine, FastMachine):
+        state, prefix = machine, "_"
+    else:
+        state, prefix = machine._shaped_state(), ""
+    if isinstance(state, (FastMachine, SourceState)):
+        # the same fields; FastMachine spells them with a leading "_"
+        f = {name: getattr(state, prefix + name) for name in SourceState.__slots__}
+        return (
+            list(f["itags"]),
+            list(f["dtags"]),
+            list(f["btags"]),
+            set(f["i_ever"]),
+            set(f["d_ever"]),
+            set(f["b_ever"]),
+            list(f["wb"]),
+            set(f["wb_set"]),
+            {pair: list(blocks) for pair, blocks in f["wb_pairs"].items()},
+            f["sb_block"],
+            f["sb_was_miss"],
+        )
+    return (
+        state.itags.tolist(),
+        state.dtags.tolist(),
+        state.btags.tolist(),
+        set(state.i_ever.tolist()),
+        set(state.d_ever.tolist()),
+        set(state.b_ever.tolist()),
+        state.wb,
+        state.sb_block,
+        state.sb_was_miss,
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@settings(max_examples=40, deadline=None)
+@given(config=configs(), segments=SEGMENTS, steps=STEPS)
+def test_tokens_are_exact_under_pass_and_restore(engine, config, segments, steps):
+    producer = _machine(engine, config)
+    replayer = _machine(engine, config)
+    seen = [(producer.snapshot_state(), _full_state(producer))]
+    for action, arg in steps:
+        if action == "diverge":
+            replayer.mem_delta(segments[arg % len(segments)])
+            continue
+        if action == "restore":
+            token, full = seen[arg % len(seen)]
+            _restore(producer, token)
+            assert _full_state(producer) == full
+            assert producer.snapshot_state() == token
+            continue
+        # restore the producer's token onto the replayer, whatever state
+        # the replayer is in, then pass the same segment on both
+        token, full = producer.snapshot_state(), _full_state(producer)
+        _restore(replayer, token)
+        assert _full_state(replayer) == full
+        segment = segments[arg % len(segments)]
+        delta = producer.mem_delta(segment)
+        assert replayer.mem_delta(segment) == delta
+        after = producer.snapshot_state()
+        assert replayer.snapshot_state() == after
+        assert _full_state(replayer) == _full_state(producer)
+        seen.append((after, _full_state(producer)))
+    for i, (token_a, full_a) in enumerate(seen):
+        for token_b, full_b in seen[i + 1 :]:
+            assert (token_a == token_b) == (full_a == full_b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=configs(), segments=SEGMENTS, steps=STEPS)
+def test_source_path_tokens_mirror_the_fast_engine(config, segments, steps):
+    fast = FastMachine(config)
+    source = GenMachine(config, path="source")
+    seen = [fast.snapshot_state()]
+    for action, arg in steps:
+        if action == "restore":
+            token = seen[arg % len(seen)]
+            _restore(fast, token)
+            _restore(source, token)
+        else:
+            segment = segments[arg % len(segments)]
+            assert source.mem_delta(segment) == fast.mem_delta(segment)
+        assert source.snapshot_state() == fast.snapshot_state()
+        seen.append(fast.snapshot_state())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_restore_clears_tags_the_target_does_not_hold(engine):
+    # eight aliasing b-cache sets: a long segment fills them all, a
+    # one-instruction segment holds its block and the prefetched next one
+    config = AlphaConfig(
+        memory=MemoryConfig(icache_size=64, dcache_size=64, bcache_size=256)
+    )
+    wide = _segment([(word * 8, Op.LOAD, 512 + word * 8, False) for word in range(24)])
+    narrow = _segment([(0, Op.ALU, 0, False)])
+    small = _machine(engine, config)
+    small.mem_delta(narrow)
+    token = small.snapshot_state()
+    big = _machine(engine, config)
+    big.mem_delta(wide)
+    assert sum(tag >= 0 for tag in _full_state(small)[2]) == 2
+    assert sum(tag >= 0 for tag in _full_state(big)[2]) == 8
+    _restore(big, token)
+    assert _full_state(big) == _full_state(small)
+    assert big.mem_delta(wide) == small.mem_delta(wide)
+    assert big.snapshot_state() == small.snapshot_state()

@@ -16,8 +16,11 @@ import json
 
 import pytest
 
+from repro.gensim import have_numpy
 from repro.resilience import FaultProfile, OverloadSpec, run_resilience_point
 from repro.traffic import TrafficSpec, run_traffic_point
+
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="the vector path needs numpy")
 
 #: churned, so binds, unbinds and invalidations all move, and long
 #: enough to cross the warm-up boundary
@@ -59,6 +62,26 @@ RESILIENCE_SPEC = TrafficSpec(
 )
 RESILIENCE_DIGEST = "95f333bbbe86eae6d6b163e5896d90fc75b0fcedebf4ca3062b517dea1465632"
 
+#: a small point shaped like the benchmark's stream-mixed-churn workload:
+#: bursty mixed TCP+RPC traffic with churn and 2% faults, whose stream
+#: restores interned machine states over a hundred times
+MIXED_CHURN_SPEC = TrafficSpec(
+    stack="mixed",
+    mix="bursty",
+    packets=20_000,
+    flows=1_000,
+    warmup_packets=2_000,
+    churn=0.01,
+    seed=0,
+)
+MIXED_CHURN_DIGEST = "5d18e244afe0710d3e739de8bf764fba9373fe75c1b93ceaa1cb5b6ca0421560"
+
+#: name -> (stream, fault rate, pinned digest) of the resilience points
+RESILIENCE_POINTS = {
+    "mixed-scan": (RESILIENCE_SPEC, 0.04, RESILIENCE_DIGEST),
+    "mixed-churn": (MIXED_CHURN_SPEC, 0.02, MIXED_CHURN_DIGEST),
+}
+
 
 def _digest(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -74,13 +97,19 @@ def test_traffic_point_output_is_pinned(mix, scheme):
     assert _digest(point.to_json()) == TRAFFIC_DIGESTS[mix][scheme]
 
 
-def test_faulted_mixed_resilience_point_output_is_pinned():
-    point = run_resilience_point(
-        RESILIENCE_SPEC,
+def _resilience_point(name: str, engine: str = "fast"):
+    spec, rate, _ = RESILIENCE_POINTS[name]
+    return run_resilience_point(
+        spec,
         "lru:4",
-        profile=FaultProfile.uniform(0.04, seed=0),
+        profile=FaultProfile.uniform(rate, seed=0),
         overload=OverloadSpec(loads=(80, 100, 120), queue_capacity=64),
+        engine=engine,
     )
+
+
+def test_faulted_mixed_resilience_point_output_is_pinned():
+    point = _resilience_point("mixed-scan")
     assert sorted(point.fault_counts) == [
         "bad_demux_key",
         "corrupt_checksum",
@@ -88,3 +117,18 @@ def test_faulted_mixed_resilience_point_output_is_pinned():
         "truncated_header",
     ]
     assert _digest(point.to_json()) == RESILIENCE_DIGEST
+
+
+def test_mixed_churn_resilience_point_output_is_pinned():
+    point = _resilience_point("mixed-churn")
+    assert _digest(point.to_json()) == MIXED_CHURN_DIGEST
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", sorted(RESILIENCE_POINTS))
+def test_gensim_resilience_point_matches_the_pinned_output(name):
+    doc = _resilience_point(name, engine="gensim").to_json()
+    assert doc["traffic"]["engine"] == "gensim"
+    # the engine is a setting, not a result: set it aside
+    doc["traffic"]["engine"] = "fast"
+    assert _digest(doc) == RESILIENCE_POINTS[name][2]
