@@ -9,13 +9,13 @@ configuration) cells, with per-cell write-buffer/d-cache attribution and
 static steady-state bounds under the same store behaviour.
 
 The ``grid`` section deliberately omits the engine that produced it: the
-engines are bit-identical, so CI regenerates the file on both the fast
-and the gensim leg and diffs the committed golden table — any divergence
-between engines or against the baseline is a drift failure, not a
-tolerance judgement.  The perf-trend gate additionally requires that at
-least one data technique pulls the steady write-buffer bucket below the
-baseline floor on at least 6 of the 12 cells — the floor the code-side
-techniques of Section 2 never move.
+engines are bit-identical, so one committed grid serves every engine and
+CI diffs a fresh run against it — any divergence between engines or
+against the baseline is a drift failure, not a tolerance judgement.  The
+perf-trend gate additionally requires that at least one data technique
+pulls the steady write-buffer bucket below the baseline floor on at
+least 6 of the 12 cells — the floor the code-side techniques of Section
+2 never move.
 
 Usage::
 
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--engine",
-        choices=["fast", "reference", "gensim"],
+        choices=["fast", "reference"],
         default="fast",
         help="measuring engine (the grid section is engine-independent)",
     )

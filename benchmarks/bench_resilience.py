@@ -14,9 +14,9 @@ numbers:
 * ``streaming`` — end-to-end packet throughput of a *faulted* stream on
   the acceptance cell (1M Zipf packets over 10k flows at a 1% total
   fault rate; ``--smoke`` shortens the stream but keeps the flow
-  population), per engine, plus the pristine stream's throughput on the
-  same cell.  Their ratio, ``resilience_throughput_vs_traffic``, is the
-  structural claim the gate enforces: faulted variants stay
+  population) on the fast engine, plus the pristine stream's throughput
+  on the same cell.  Their ratio, ``resilience_throughput_vs_traffic``,
+  is the structural claim the gate enforces: faulted variants stay
   transition-memoizable, so pricing real error paths must not collapse
   streaming throughput.
 * ``saturation`` — the acceptance proof: the same 1M-packet faulted cell
@@ -102,17 +102,14 @@ def bench_streaming(packets: int, flows: int, trials: int) -> dict:
         "spec": spec.to_json(),
         "profile": profile.to_json(),
     }
-    point = None
-    for engine in ("fast", "gensim"):
-        best = float("inf")
-        for _ in range(trials):
-            t0 = time.perf_counter()
-            point = run_resilience_point(
-                spec, "one-entry", profile=profile, overload=overload,
-                engine=engine,
-            )
-            best = min(best, time.perf_counter() - t0)
-        out[f"{engine}_packets_per_sec"] = round(packets / best)
+    best = float("inf")
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        point = run_resilience_point(
+            spec, "one-entry", profile=profile, overload=overload, engine="fast"
+        )
+        best = min(best, time.perf_counter() - t0)
+    out["fast_packets_per_sec"] = round(packets / best)
     best = float("inf")
     for _ in range(trials):
         t0 = time.perf_counter()
@@ -153,7 +150,7 @@ def main(argv=None) -> int:
         "--trials",
         type=int,
         default=1,
-        help="streaming trials per engine (best is reported)",
+        help="streaming trials (best is reported)",
     )
     parser.add_argument("--output", default=str(REPO / "BENCH_resilience.json"))
     args = parser.parse_args(argv)
@@ -178,7 +175,6 @@ def main(argv=None) -> int:
     )
     print(
         f"  faulted fast {streaming['fast_packets_per_sec']:,} packets/s, "
-        f"gensim {streaming['gensim_packets_per_sec']:,} packets/s, "
         f"pristine fast {streaming['pristine_fast_packets_per_sec']:,} "
         f"packets/s -> {streaming['resilience_throughput_vs_traffic']}x"
     )

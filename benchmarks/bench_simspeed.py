@@ -1,14 +1,11 @@
 #!/usr/bin/env python
-"""Simulation-speed benchmark: fast and gensim engines vs. the seed.
+"""Simulation-speed benchmark: the fast engine vs. the reference and seed.
 
 Produces ``BENCH_simspeed.json`` (repo root) with machine-readable timings:
 
 * ``kernel`` — single-pass simulation throughput in trace entries/second
-  on the same trace: reference ``MachineSimulator``, the fused
-  ``FastMachine`` kernel, and the generated ``gensim`` kernel both from
-  a cold generator (``gensim_generate_*``: generation + one resolved
-  vector pass) and warm (``gensim_*``: the memoized transition replay,
-  the number the perf-trend gate enforces at >= 10x fast);
+  on the same trace: reference ``MachineSimulator`` and the fused
+  ``FastMachine`` kernel;
 * ``end_to_end`` — wall-clock seconds for the canonical Table-4 sweep
   (TCP/IP x 10 samples + RPC x 5 samples, all six configurations):
 
@@ -19,8 +16,8 @@ Produces ``BENCH_simspeed.json`` (repo root) with machine-readable timings:
   - ``reference_seconds``: the current tree with ``engine="reference"``
     and capture memoization disabled, i.e. the seed *algorithm* running
     on today's shared infrastructure;
-  - ``fast_seconds`` / ``gensim_seconds``: the current tree's engines
-    (caches cleared between trials), best of ``--trials``.
+  - ``fast_seconds``: the current tree's fast engine (caches cleared
+    between trials), best of ``--trials``.
 
 Usage::
 
@@ -53,7 +50,6 @@ from repro.harness.configs import (  # noqa: E402
     build_configured_program,
     clear_build_memo,
 )
-from repro.gensim import GenMachine, clear_kernels  # noqa: E402
 from repro.harness.experiment import (  # noqa: E402
     Experiment,
     clear_capture_memo,
@@ -69,7 +65,6 @@ def _reset_caches() -> None:
     clear_caches()
     clear_capture_memo()
     clear_build_memo()
-    clear_kernels()
 
 
 def bench_kernel() -> dict:
@@ -92,30 +87,11 @@ def bench_kernel() -> dict:
 
     ref_s = best_of(lambda: MachineSimulator().run(trace))
     fast_s = best_of(lambda: FastMachine().run(packed))
-
-    # cold generator: every iteration pays kernel generation plus one
-    # resolved vector pass (the honest first-contact cost of gensim)
-    def gensim_fresh():
-        clear_kernels()
-        GenMachine().run(packed)
-
-    gensim_generate_s = best_of(gensim_fresh)
-    # warm generator: the kernel and its cold-entry transition are
-    # memoized, so a fresh machine replays the recorded pass — this is
-    # the steady-state throughput the perf-trend gate enforces
-    clear_kernels()
-    GenMachine().run(packed)
-    gensim_s = best_of(lambda: GenMachine().run(packed))
     return {
         "trace_entries": entries,
         "reference_entries_per_sec": round(entries / ref_s),
         "fast_entries_per_sec": round(entries / fast_s),
-        "gensim_entries_per_sec": round(entries / gensim_s),
-        "gensim_generate_entries_per_sec": round(entries / gensim_generate_s),
         "kernel_speedup": round(ref_s / fast_s, 2),
-        "gensim_speedup_vs_fast": round(fast_s / gensim_s, 2),
-        "gensim_generate_speedup_vs_fast": round(fast_s / gensim_generate_s,
-                                                 2),
     }
 
 
@@ -126,11 +102,11 @@ def _sweep_once(sweep, **kwargs) -> float:
     return time.perf_counter() - t0
 
 
-def bench_fast(sweep, trials: int, engine: str = "fast") -> float:
+def bench_fast(sweep, trials: int) -> float:
     best = float("inf")
     for _ in range(trials):
         _reset_caches()
-        best = min(best, _sweep_once(sweep, engine=engine))
+        best = min(best, _sweep_once(sweep, engine="fast"))
     return best
 
 
@@ -230,19 +206,10 @@ def main(argv=None) -> int:
     print(f"  reference {kernel['reference_entries_per_sec']:,} entries/s, "
           f"fast {kernel['fast_entries_per_sec']:,} entries/s "
           f"({kernel['kernel_speedup']}x)")
-    print(f"  gensim {kernel['gensim_entries_per_sec']:,} entries/s warm "
-          f"({kernel['gensim_speedup_vs_fast']}x fast), "
-          f"{kernel['gensim_generate_entries_per_sec']:,} entries/s from a "
-          f"cold generator "
-          f"({kernel['gensim_generate_speedup_vs_fast']}x fast)")
 
     print("end-to-end sweep, fast engine ...", flush=True)
     fast_s = bench_fast(sweep, args.trials)
     print(f"  fast: {fast_s:.3f}s")
-
-    print("end-to-end sweep, gensim engine ...", flush=True)
-    gensim_s = bench_fast(sweep, args.trials, engine="gensim")
-    print(f"  gensim: {gensim_s:.3f}s")
 
     print("end-to-end sweep, reference engine (seed algorithm) ...", flush=True)
     reference_s = bench_reference(sweep)
@@ -262,19 +229,16 @@ def main(argv=None) -> int:
         # sweep amortizes the caches less, so it needs its own baseline.
         print("smoke-sized sweep (perf-trend gate baseline) ...", flush=True)
         smoke_fast_s = bench_fast(SMOKE_SWEEP, max(args.trials, 3))
-        smoke_gensim_s = bench_fast(SMOKE_SWEEP, max(args.trials, 3),
-                                    engine="gensim")
         smoke_reference_s = bench_reference(SMOKE_SWEEP,
                                             trials=max(args.trials, 3))
         smoke_baseline = {
             "sweep": [{"stack": s, "samples": n} for s, n in SMOKE_SWEEP],
             "fast_seconds": round(smoke_fast_s, 3),
-            "gensim_seconds": round(smoke_gensim_s, 3),
             "reference_seconds": round(smoke_reference_s, 3),
             "speedup_vs_reference": round(smoke_reference_s / smoke_fast_s, 2),
         }
-        print(f"  smoke: fast {smoke_fast_s:.3f}s, gensim "
-              f"{smoke_gensim_s:.3f}s, reference {smoke_reference_s:.3f}s "
+        print(f"  smoke: fast {smoke_fast_s:.3f}s, "
+              f"reference {smoke_reference_s:.3f}s "
               f"({smoke_baseline['speedup_vs_reference']}x)")
 
     baseline = seed_s if seed_s is not None else reference_s
@@ -284,7 +248,6 @@ def main(argv=None) -> int:
         "end_to_end": {
             "sweep": [{"stack": s, "samples": n} for s, n in sweep],
             "fast_seconds": round(fast_s, 3),
-            "gensim_seconds": round(gensim_s, 3),
             "reference_seconds": round(reference_s, 3),
             "seed_seconds": None if seed_s is None else round(seed_s, 3),
             "speedup_vs_reference": round(reference_s / fast_s, 2),
@@ -296,8 +259,8 @@ def main(argv=None) -> int:
     if smoke_baseline is not None:
         result["smoke_end_to_end"] = smoke_baseline
     pathlib.Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\nspeedup: {result['end_to_end']['speedup']}x, gensim kernel "
-          f"{kernel['gensim_speedup_vs_fast']}x fast -> {args.output}")
+    print(f"\nspeedup: {result['end_to_end']['speedup']}x, fast kernel "
+          f"{kernel['kernel_speedup']}x reference -> {args.output}")
     return 0
 
 

@@ -6,8 +6,8 @@ Produces ``BENCH_traffic.json`` (repo root) with machine-readable numbers:
 * ``streaming`` — end-to-end packet throughput of the transition-memoized
   traffic engine (:mod:`repro.traffic`) on the acceptance cell (1M Zipf
   packets over 10k flows; ``--smoke`` shortens the stream but keeps the
-  flow population), per engine, plus the *naive* baseline: the same fast
-  kernel re-simulating the dominant demux segment per packet with no
+  flow population) on the fast engine, plus the *naive* baseline: the same
+  fast kernel re-simulating the dominant demux segment per packet with no
   transition memo.  Their ratio, ``streaming_speedup_vs_naive``, is the
   structural win the perf-trend gate enforces — it is what lets a
   cycle-exact model stream millions of packets.
@@ -63,20 +63,19 @@ NAIVE_PASSES = 2_000
 
 
 def bench_streaming(packets: int, flows: int, trials: int) -> dict:
-    """Streamed packets/second per engine on the throughput cell."""
+    """Streamed packets/second on the throughput cell."""
     spec = TrafficSpec(packets=packets, flows=flows, mix="zipf")
-    out = {"spec": spec.to_json()}
-    point = None
-    for engine in ("fast", "gensim"):
-        best = float("inf")
-        for _ in range(trials):
-            t0 = time.perf_counter()
-            point = run_traffic_point(spec, "one-entry", engine=engine)
-            best = min(best, time.perf_counter() - t0)
-        out[f"{engine}_packets_per_sec"] = round(packets / best)
-    out["novel_passes"] = point.novel_passes
-    out["distinct_states"] = point.distinct_states
-    return out
+    best = float("inf")
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        point = run_traffic_point(spec, "one-entry", engine="fast")
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "spec": spec.to_json(),
+        "fast_packets_per_sec": round(packets / best),
+        "novel_passes": point.novel_passes,
+        "distinct_states": point.distinct_states,
+    }
 
 
 def bench_naive_fast() -> dict:
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
         "--trials",
         type=int,
         default=1,
-        help="streaming trials per engine (best is reported)",
+        help="streaming trials (best is reported)",
     )
     parser.add_argument("--output", default=str(REPO / "BENCH_traffic.json"))
     args = parser.parse_args(argv)
@@ -135,8 +134,7 @@ def main(argv=None) -> int:
     )
     streaming = bench_streaming(stream["packets"], stream["flows"], args.trials)
     print(
-        f"  fast {streaming['fast_packets_per_sec']:,} packets/s, "
-        f"gensim {streaming['gensim_packets_per_sec']:,} packets/s "
+        f"  fast {streaming['fast_packets_per_sec']:,} packets/s "
         f"({streaming['novel_passes']} novel passes, "
         f"{streaming['distinct_states']} states)"
     )

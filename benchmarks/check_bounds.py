@@ -6,10 +6,9 @@ analysis of :mod:`repro.analysis.bounds` to be *sound*:
 
 1. **12-cell invariant** — on every (stack, configuration) cell,
    ``lower <= simulated <= upper`` for both the cold and the steady
-   mCPI, measured by the fast engine and (when numpy is present) the
-   gensim engine.  The cold bounds must in fact be *exact*: the cold
-   pass starts from a known empty hierarchy, so any slack there is a
-   model-fidelity bug, not imprecision.
+   mCPI, measured by the fast engine.  The cold bounds must in fact be
+   *exact*: the cold pass starts from a known empty hierarchy, so any
+   slack there is a model-fidelity bug, not imprecision.
 
 2. **Randomized layout mutations** — the same invariant under seeded
    swap/rotate/realign mutations of several cells' layouts (the PR 5
@@ -23,7 +22,7 @@ analysis of :mod:`repro.analysis.bounds` to be *sound*:
 Run from the repository root::
 
     python benchmarks/check_bounds.py              # all three checks
-    python benchmarks/check_bounds.py --quick      # 4 cells, fast engine
+    python benchmarks/check_bounds.py --quick      # 4 cells
     python benchmarks/check_bounds.py --table      # EXPERIMENTS.md table
 
 Exits 0 when every check holds, 1 otherwise.
@@ -44,18 +43,6 @@ SMOKE = ("rpc", "STD", 24, 0)  # (stack, config, budget, seed)
 MUTATION_CELLS = (("tcpip", "CLO"), ("rpc", "STD"))
 
 
-def _engines(quick: bool):
-    engines = ["fast"]
-    if not quick:
-        try:
-            import numpy  # noqa: F401
-
-            engines.append("gensim")
-        except ImportError:
-            print("NOTE: numpy unavailable, skipping the gensim leg")
-    return engines
-
-
 def check_cells(quick: bool) -> int:
     from repro.analysis.bounds import check_cell_bounds
     from repro.harness.configs import CONFIG_NAMES, STACKS
@@ -64,22 +51,19 @@ def check_cells(quick: bool) -> int:
     configs = ("STD", "CLO") if quick else CONFIG_NAMES
     for stack in STACKS:
         for config in configs:
-            for engine in _engines(quick):
-                bounds, findings = check_cell_bounds(
-                    stack, config, engine=engine
+            bounds, findings = check_cell_bounds(stack, config, engine="fast")
+            for finding in findings:
+                failures += 1
+                print(f"FAIL: {finding.render()}", file=sys.stderr)
+            if not bounds.cold.exact:
+                failures += 1
+                print(
+                    f"FAIL: {stack}/{config} cold bounds not exact "
+                    f"([{bounds.cold.lower:.6f}, "
+                    f"{bounds.cold.upper:.6f}]) — the cold pass is "
+                    "concrete, slack means a model-fidelity bug",
+                    file=sys.stderr,
                 )
-                for finding in findings:
-                    failures += 1
-                    print(f"FAIL: {finding.render()}", file=sys.stderr)
-                if not bounds.cold.exact:
-                    failures += 1
-                    print(
-                        f"FAIL: {stack}/{config} cold bounds not exact "
-                        f"([{bounds.cold.lower:.6f}, "
-                        f"{bounds.cold.upper:.6f}]) — the cold pass is "
-                        "concrete, slack means a model-fidelity bug",
-                        file=sys.stderr,
-                    )
             label = "OK " if not failures else "   "
             print(
                 f"{label} {stack:5} {config:4} "
@@ -205,7 +189,7 @@ def emit_table() -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="4 cells, fast engine only, fewer mutations")
+                        help="4 cells, fewer mutations")
     parser.add_argument("--mutations", type=int, default=None,
                         help="mutated layouts per cell (default: 8, "
                              "or 3 with --quick)")

@@ -3,22 +3,18 @@
 baseline and fail on a regression.
 
 ``BENCH_simspeed.json`` (repo root) records, as measured on the machine
-that produced it:
-
-* the fast engine's end-to-end speedup over the reference engine, and
-* the gensim generated-kernel throughput relative to the fast kernel.
+that produced it, the fast engine's end-to-end speedup over the
+reference engine.
 
 CI machines differ in absolute speed, but *ratios* between engines on
 the same box are stable — so the gate runs ``bench_simspeed.py --smoke``
 and requires::
 
-    measured speedup_vs_reference  >= threshold * recorded speedup_vs_reference
-    measured gensim_speedup_vs_fast >= max(10, gensim-threshold * recorded)
+    measured speedup_vs_reference >= threshold * recorded speedup_vs_reference
 
-A failure on the first means the fast path lost a structural
-optimisation (caching disabled, packed-trace reuse broken, a
-per-instruction branch crept into the kernel, ...); on the second, that
-the generated kernels lost their transition-replay advantage.
+A failure means the fast path lost a structural optimisation (caching
+disabled, packed-trace reuse broken, a per-instruction branch crept
+into the kernel, ...).
 
 The gate also covers the traffic engine: ``--traffic`` points at a
 ``bench_traffic.py`` smoke run and requires::
@@ -53,9 +49,9 @@ And the data-techniques grid: ``--datalayout`` points at a
     max(recorded cells_below_floor) >= 6 of 12   (acceptance floor)
 
 Every number in the grid is an exact integer count, and the section
-deliberately names no engine, so identity across the fast and gensim
-legs *is* the cross-engine equivalence proof; the floor failing means
-the data-side techniques stopped beating the write-buffer stall plateau.
+deliberately names no engine, so a fresh run on any engine must match
+it; the floor failing means the data-side techniques stopped beating
+the write-buffer stall plateau.
 
 Every committed baseline is validated first: a null in an enforced field
 (e.g. ``seed_seconds`` from a run that could not export the seed commit)
@@ -94,10 +90,6 @@ DATALAYOUT_BASELINE = REPO / "BENCH_datalayout.json"
 #: of the 12 grid cells
 DATALAYOUT_CELL_FLOOR = 6
 
-#: the gensim acceptance floor: generated-kernel replay must beat the
-#: fast kernel by at least this factor regardless of what was recorded
-GENSIM_KERNEL_FLOOR = 10.0
-
 #: the traffic acceptance floor: transition-memoized streaming must beat
 #: naive per-packet simulation by at least this factor regardless of
 #: what was recorded
@@ -107,26 +99,19 @@ TRAFFIC_STREAM_FLOOR = 10.0
 #: benchmark run that produced the baseline skipped a measurement
 REQUIRED_END_TO_END = (
     "fast_seconds",
-    "gensim_seconds",
     "reference_seconds",
     "seed_seconds",
     "speedup_vs_reference",
     "speedup_vs_seed",
 )
-REQUIRED_KERNEL = (
-    "fast_entries_per_sec",
-    "gensim_entries_per_sec",
-    "gensim_speedup_vs_fast",
-)
+REQUIRED_KERNEL = ("fast_entries_per_sec",)
 REQUIRED_TRAFFIC_STREAMING = (
     "fast_packets_per_sec",
-    "gensim_packets_per_sec",
     "naive_fast_packets_per_sec",
     "streaming_speedup_vs_naive",
 )
 REQUIRED_RESILIENCE_STREAMING = (
     "fast_packets_per_sec",
-    "gensim_packets_per_sec",
     "pristine_fast_packets_per_sec",
     "resilience_throughput_vs_traffic",
 )
@@ -443,14 +428,6 @@ def main(argv=None) -> int:
         help="minimum measured/recorded end-to-end speedup ratio "
         "(default 0.8)",
     )
-    parser.add_argument(
-        "--gensim-threshold",
-        type=float,
-        default=0.5,
-        help="minimum measured/recorded gensim kernel-speedup ratio; the "
-        f"hard floor of {GENSIM_KERNEL_FLOOR}x fast always applies "
-        "(default 0.5 — microbenchmark ratios are noisier than sweeps)",
-    )
     args = parser.parse_args(argv)
 
     if (
@@ -522,42 +499,6 @@ def main(argv=None) -> int:
             print(
                 f"\nPERF REGRESSION: {measured}x < {floor:.2f}x — the fast "
                 "engine lost ground against the reference engine",
-                file=sys.stderr,
-            )
-            failed = True
-
-    if "kernel" not in baseline:
-        section_absent("kernel", args.baseline)
-        if failed:
-            return 1
-        print("\nperf trend OK")
-        return 0
-
-    recorded_gensim = baseline["kernel"]["gensim_speedup_vs_fast"]
-    measured_gensim = smoke.get("kernel", {}).get("gensim_speedup_vs_fast")
-    if measured_gensim is None:
-        print(
-            f"\nPERF REGRESSION: {args.smoke} carries no "
-            "kernel.gensim_speedup_vs_fast — the smoke benchmark no longer "
-            "measures the generated kernels",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        gensim_floor = max(
-            GENSIM_KERNEL_FLOOR, args.gensim_threshold * recorded_gensim
-        )
-        print(f"recorded gensim_speedup_vs_fast: {recorded_gensim}x")
-        print(f"measured gensim_speedup_vs_fast: {measured_gensim}x")
-        print(
-            f"gensim floor (max({GENSIM_KERNEL_FLOOR}, "
-            f"{args.gensim_threshold} x recorded)): {gensim_floor:.2f}x"
-        )
-        if measured_gensim < gensim_floor:
-            print(
-                f"\nPERF REGRESSION: gensim kernel {measured_gensim}x < "
-                f"{gensim_floor:.2f}x over fast — the generated kernels "
-                "lost their replay advantage",
                 file=sys.stderr,
             )
             failed = True

@@ -17,22 +17,21 @@ commit the new tables with the change that explains them.
 instead: the demux-cache study (caching scheme x arrival mix, 1M packets
 over 10k flows per point, plus a mixed TCP+RPC section).  Its numbers
 are ratios of exact integer counters, so the same byte-identity gate
-applies — CI regenerates it under ``REPRO_SIM_ENGINE=fast`` and
-``=gensim`` and diffs both against the one committed file, which *is*
-the cross-engine equivalence proof.
+applies — CI regenerates it on the fast engine and diffs it against the
+committed file.
 
 ``--resilience`` regenerates ``benchmarks/results/resilience_smoke.txt``:
 the faulted-traffic resilience study (caching scheme x arrival mix x
 fault rate, with offered-load vs p50/p99/p999 latency curves per cell).
 Latencies are exact integers on the simulated-cycle timeline, so the
-same byte-identity gate applies across ``fast`` and ``gensim``.
+same byte-identity gate applies.
 
 ``--datalayout`` regenerates ``benchmarks/results/datalayout_grid.txt``:
 the data-techniques grid (store coalescing, non-allocating writes, field
 packing, hot/cold splitting over all 12 cells, with attribution buckets
 and static bounds).  Every number is an exact integer count or a ratio
-of them, and the rendering names no engine, so the fast and gensim legs
-diff against the same committed file.
+of them, and the rendering names no engine, so a run on any engine
+diffs against the same committed file.
 
 Usage::
 
@@ -128,8 +127,8 @@ def golden_datalayout() -> dict:
     """The data-techniques grid golden: every technique x all 12 cells.
 
     The rendering deliberately names no engine — the engines are
-    bit-identical, so the fast and gensim CI legs regenerate this one
-    committed file and any divergence is a drift failure.
+    bit-identical, so every engine regenerates this one committed file
+    and any divergence is a drift failure.
     """
     from repro.api import DatalayoutSpec, datalayout
 

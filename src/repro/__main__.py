@@ -46,12 +46,10 @@ def profile_main(argv=None) -> int:
     )
     parser.add_argument("stack", choices=list(STACKS))
     parser.add_argument("config", choices=list(CONFIG_NAMES))
-    # attribution needs per-function span replay, which the generated
-    # gensim kernels decline — only the interpreting engines qualify
     parser.add_argument("--engine", choices=["fast", "reference"],
                         default=None,
                         help="simulation engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; gensim declines attribution sinks)")
+                             "or fast)")
     parser.add_argument("--seed", type=int, default=42,
                         help="allocator jitter seed of the traced sample")
     parser.add_argument("--top", type=int, default=12,
@@ -101,12 +99,10 @@ def analyze_main(argv=None) -> int:
     )
     parser.add_argument("stack", choices=list(STACKS) + ["all"])
     parser.add_argument("config", choices=list(CONFIG_NAMES) + ["all"])
-    parser.add_argument("--engine", choices=["fast", "reference", "gensim"],
+    parser.add_argument("--engine", choices=["fast", "reference"],
                         default=None,
                         help="engine for the simulated cross-validations "
-                             "(default: $REPRO_SIM_ENGINE or fast; gensim "
-                             "declines attribution sinks, so it needs "
-                             "--static-only; --bounds works on any engine)")
+                             "(default: $REPRO_SIM_ENGINE or fast)")
     parser.add_argument("--seed", type=int, default=42,
                         help="allocator jitter seed of the validated sample")
     parser.add_argument("--static-only", action="store_true",
@@ -350,9 +346,7 @@ def traffic_main(argv=None) -> int:
                         help="flow-map caching schemes: none, one-entry, "
                              "lru:K, direct:N, assoc:SxW "
                              "(default: the full taxonomy)")
-    parser.add_argument("--engine",
-                        choices=["fast", "gensim", "guarded",
-                                 "guarded-gensim"],
+    parser.add_argument("--engine", choices=["fast", "guarded"],
                         default=None,
                         help="streaming engine (default: $REPRO_SIM_ENGINE "
                              "or fast; tables are bit-identical across "
@@ -456,9 +450,7 @@ def resilience_main(argv=None) -> int:
     parser.add_argument("--policy", choices=list(POLICIES),
                         default="drop-tail",
                         help="ingress admission policy")
-    parser.add_argument("--engine",
-                        choices=["fast", "gensim", "guarded",
-                                 "guarded-gensim"],
+    parser.add_argument("--engine", choices=["fast", "guarded"],
                         default=None,
                         help="streaming engine (default: $REPRO_SIM_ENGINE "
                              "or fast; studies are bit-identical across "

@@ -844,16 +844,13 @@ def check_cell_bounds(
 ) -> Tuple[LatencyBounds, List[Finding]]:
     """Compute one cell's bounds and validate them against a simulation.
 
-    ``engine`` picks the measuring engine (``fast``, ``reference``,
-    ``gensim``; guarded engines map to their primary).  Returns the
-    bounds plus any invariant-violation findings — an empty list is the
-    machine-checked claim ``lower <= simulated <= upper`` for both the
-    cold and the steady measurement.
+    ``engine`` picks the measuring engine (``fast`` or ``reference``;
+    ``guarded`` measures via fast).  Returns the bounds plus any
+    invariant-violation findings — an empty list is the machine-checked
+    claim ``lower <= simulated <= upper`` for both the cold and the
+    steady measurement.
     """
-    from repro.arch.simcache import (
-        gensim_cold_and_steady_cached,
-        simulate_cold_and_steady_cached,
-    )
+    from repro.arch.simcache import simulate_cold_and_steady_cached
     from repro.arch.simulator import AlphaConfig, MachineSimulator
 
     program, walk = _cell_walk(stack, config, opts=opts, seed=seed)
@@ -866,16 +863,10 @@ def check_cell_bounds(
     )
 
     machine_cfg = AlphaConfig(memory=memory) if memory is not None else None
-    resolved = engine or "fast"
-    if resolved == "guarded":
-        resolved = "fast"
-    elif resolved == "guarded-gensim":
-        resolved = "gensim"
+    resolved = "reference" if engine == "reference" else "fast"
     if resolved == "reference":
         cold = MachineSimulator(machine_cfg).run(walk.trace)
         steady = MachineSimulator(machine_cfg).run_steady_state(walk.trace)
-    elif resolved == "gensim":
-        cold, steady = gensim_cold_and_steady_cached(walk.packed, machine_cfg)
     else:
         cold, steady = simulate_cold_and_steady_cached(walk.packed, machine_cfg)
     findings = bounds.check(

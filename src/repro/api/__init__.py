@@ -391,9 +391,9 @@ def traffic(
     Sweeps caching scheme x arrival mix x flow count over the stream's
     (stack, configuration) cell and returns a
     :class:`repro.traffic.TrafficStudy` carrying per-scheme flow-map hit
-    rates and cold/steady cycle totals.  The streaming engines are
-    exact, so equal specs produce bit-identical studies on ``fast`` and
-    ``gensim`` (a CI golden gate holds this equivalence); the
+    rates and cold/steady cycle totals.  The transition-memoized stream
+    is exact, so equal specs produce bit-identical studies (a CI golden
+    gate holds this); ``guarded`` streams on ``fast``, and the
     ``reference`` engine has no packed-segment pass and is refused.
 
     Passing a bare :class:`repro.traffic.TrafficSpec` and/or the axis
@@ -467,7 +467,7 @@ def resilience(
     point, reporting p50/p99/p999 sojourn latency, drop fractions and
     the saturation point.  Rate 0 is bit-identical to a pristine
     :func:`traffic` point, and equal inputs produce bit-identical
-    studies on ``fast`` and ``gensim`` (a CI golden gate holds this).
+    studies (a CI golden gate holds this).
 
     Passing a bare :class:`repro.traffic.TrafficSpec` and/or the sweep
     keywords is deprecated — use :class:`ResilienceStudySpec`.
@@ -683,8 +683,8 @@ def datalayout(
     cells, with each cell attribution-verified against the engine and
     bracketed by the static bounds under the same store behaviour.  The
     engines are bit-identical, so equal specs produce byte-identical
-    tables on ``fast``, ``reference`` and ``gensim`` (a CI golden gate
-    holds the fast/gensim pair).
+    tables on ``fast`` and ``reference`` (a CI golden gate diffs the
+    fast run against the committed table).
     """
     from repro.datalayout import run_datalayout_study
 

@@ -26,11 +26,8 @@ from repro.faults.chaos import ChaosRule, parse_rules
 #: kernel + result caches (bit-identical results); "reference" = the
 #: original object-per-instruction oracle path; "guarded" = fast results
 #: cross-checked against the reference path sample by sample, degrading
-#: to "reference" on divergence (see :mod:`repro.faults.guard`);
-#: "gensim" = generated, vectorized per-cell kernels with transition
-#: memoization (see :mod:`repro.gensim`); "guarded-gensim" = gensim
-#: results cross-checked against the reference path like "guarded"
-ENGINES = ("fast", "reference", "guarded", "gensim", "guarded-gensim")
+#: to "reference" on divergence (see :mod:`repro.faults.guard`)
+ENGINES = ("fast", "reference", "guarded")
 
 ENGINE_ENV = "REPRO_SIM_ENGINE"
 VERIFY_IR_ENV = "REPRO_VERIFY_IR"

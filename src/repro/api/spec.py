@@ -129,9 +129,8 @@ class AnalyzeSpec:
 class ProfileSpec:
     """One stall-attribution request.
 
-    Attribution needs per-function span replay, which the generated
-    gensim kernels decline — ``engine`` must resolve to an interpreting
-    engine (``fast`` or ``reference``).
+    Attribution needs per-function span replay — ``engine`` must
+    resolve to an interpreting engine (``fast`` or ``reference``).
     """
 
     stack: str = "tcpip"

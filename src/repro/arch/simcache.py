@@ -113,58 +113,6 @@ def cached_cpu_stats(trace: Traceable, config: Optional[CpuConfig] = None) -> Cp
     return _copy_cpu(stats)
 
 
-def gensim_cold_and_steady_cached(
-    trace: Traceable,
-    config: Optional[AlphaConfig] = None,
-    *,
-    warmup_rounds: int = 2,
-    path: str = "auto",
-) -> Tuple[SimResult, SimResult]:
-    """Cached cold/steady results from the generated-kernel engine.
-
-    Entries live in the same bounded result cache as the fast engine's
-    but under a mode string that folds in :data:`repro.gensim.machine.
-    GEN_VERSION` and the cell fingerprint — bumping the generator version
-    (or changing anything the cell fingerprint covers) invalidates every
-    gensim entry at once, and a generator bug can never poison a
-    fast-engine entry even though the two engines are bit-identical by
-    contract.  The CPU side shares the fast engine's cpu-key cache: the
-    issue model is engine-independent.
-    """
-    global hits, misses, corruptions
-    from repro.gensim.machine import (
-        GEN_VERSION,
-        cell_fingerprint,
-        cold_and_steady_memory as _gensim_cold_and_steady_memory,
-    )
-
-    packed = as_packed(trace)
-    cfg = config or AlphaConfig()
-    mode = (f"gensim:{GEN_VERSION}:{cell_fingerprint(cfg)}"
-            f":steady:{warmup_rounds}")
-    key = (packed.fingerprint(), cfg, mode)
-    entry = _results.get(key)
-    if entry is not None and _checksum(entry[0]) != entry[1]:
-        corruptions += 1
-        entry = None
-    cpu = cached_cpu_stats(packed, cfg.cpu)
-    if entry is None:
-        misses += 1
-        pair = _gensim_cold_and_steady_memory(
-            packed, cfg, warmup_rounds=warmup_rounds, path=path
-        )
-        _results[key] = (pair, _checksum(pair))
-        _bound(_results, _MAX_RESULTS)
-    else:
-        hits += 1
-        pair = entry[0]
-    cold_mem, steady_mem = pair
-    return (
-        SimResult(cpu=cpu, memory=cold_mem.snapshot()),
-        SimResult(cpu=_copy_cpu(cpu), memory=steady_mem.snapshot()),
-    )
-
-
 def simulate_cold_and_steady_cached(
     trace: Traceable,
     config: Optional[AlphaConfig] = None,

@@ -10,8 +10,9 @@ bracketed by the abstract-interpretation bounds of
 :mod:`repro.analysis.bounds` under the same store behaviour.
 
 All engines are bit-identical, so the study's numbers are
-engine-independent; the committed golden table is regenerated by both the
-fast and the gensim CI legs and any divergence is a drift failure.
+engine-independent (the differential tests hold fast against the
+reference oracle cell by cell); the committed golden table is regenerated
+in CI and any divergence is a drift failure.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ __all__ = [
 
 STUDY_STACKS: Tuple[str, ...] = ("tcpip", "rpc")
 
-#: engines the study accepts; guarded engines measure via their primary
+#: engines the study accepts; the guarded engine measures via fast
 _PRIMARY = {
     "fast": "fast",
     "guarded": "fast",
     "reference": "reference",
-    "gensim": "gensim",
-    "guarded-gensim": "gensim",
 }
 
 
@@ -214,18 +213,13 @@ def _measure(
     engine: str, walk: WalkResult, machine_cfg: AlphaConfig
 ) -> Tuple[SimResult, SimResult]:
     """(cold, steady) engine results for one walked trace."""
-    from repro.arch.simcache import (
-        gensim_cold_and_steady_cached,
-        simulate_cold_and_steady_cached,
-    )
+    from repro.arch.simcache import simulate_cold_and_steady_cached
     from repro.arch.simulator import MachineSimulator
 
     if engine == "reference":
         cold = MachineSimulator(machine_cfg).run(walk.trace)
         steady = MachineSimulator(machine_cfg).run_steady_state(walk.trace)
         return cold, steady
-    if engine == "gensim":
-        return gensim_cold_and_steady_cached(walk.packed, machine_cfg)
     return simulate_cold_and_steady_cached(walk.packed, machine_cfg)
 
 

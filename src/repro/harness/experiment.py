@@ -29,10 +29,7 @@ from repro.api.settings import (
     ENGINES as ENGINES,  # re-export: the harness is ENGINES' legacy home
     Settings,
 )
-from repro.arch.simcache import (
-    gensim_cold_and_steady_cached,
-    simulate_cold_and_steady_cached,
-)
+from repro.arch.simcache import simulate_cold_and_steady_cached
 from repro.arch.simulator import MachineSimulator, SimResult
 from repro.core.fastwalk import FastWalker
 from repro.faults import chaos
@@ -389,14 +386,10 @@ class Experiment:
         if self.fault_plan is not None:
             events, faults = self.fault_plan.apply(events, seed)
         engine = self._live_engine
-        if engine in ("guarded", "guarded-gensim"):
+        if engine == "guarded":
             walk, cold, steady = self._run_guarded(
-                build, events, data_env, seed, sample_index,
-                primary="gensim" if engine == "guarded-gensim" else "fast",
+                build, events, data_env, seed, sample_index
             )
-        elif engine == "gensim":
-            walk = FastWalker(build.program, data_env).walk(events)
-            cold, steady = gensim_cold_and_steady_cached(walk.packed)
         elif engine == "fast":
             walk = FastWalker(build.program, data_env).walk(events)
             cold, steady = simulate_cold_and_steady_cached(walk.packed)
@@ -417,13 +410,10 @@ class Experiment:
         data_env: Dict[str, int],
         seed: int,
         sample_index: int,
-        *,
-        primary: str = "fast",
     ) -> Tuple[WalkResult, SimResult, SimResult]:
-        """Primary-engine results, cross-checked against the reference path.
+        """Fast-engine results, cross-checked against the reference path.
 
-        ``primary`` selects the engine being guarded ("fast" or
-        "gensim").  Every ``guard_stride``-th sample is replayed through
+        Every ``guard_stride``-th sample is replayed through
         the reference walker and simulator; a mismatch is recorded as a
         :class:`DivergenceReport` and — under the default ``fallback``
         policy — the reference results are used and the experiment runs
@@ -434,10 +424,7 @@ class Experiment:
         checked = sample_index % self.guard_stride == 0
         ref_events = _clone_events(events) if checked else []
         walk = FastWalker(build.program, data_env).walk(events)
-        if primary == "gensim":
-            cold, steady = gensim_cold_and_steady_cached(walk.packed)
-        else:
-            cold, steady = simulate_cold_and_steady_cached(walk.packed)
+        cold, steady = simulate_cold_and_steady_cached(walk.packed)
         # chaos hook: a "perturb" rule models a fast-engine bug by
         # skewing the stall count (snapshots are ours to mutate)
         steady.memory.stall_cycles += chaos.perturbation(
@@ -475,7 +462,7 @@ class Experiment:
                 self.stack, self.config, self.opts,
                 layout=self.layout_override,
             )
-        elif self.engine in ("fast", "guarded", "gensim", "guarded-gensim"):
+        elif self.engine in ("fast", "guarded"):
             build = build_configured_program_cached(
                 self.stack, self.config, self.opts
             )

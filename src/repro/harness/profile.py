@@ -216,14 +216,6 @@ def profile_cell(
 
     settings = Settings.from_env().with_engine(engine)
     engine = settings.engine
-    if engine in ("gensim", "guarded-gensim"):
-        from repro.gensim import GensimCapabilityError
-
-        raise GensimCapabilityError(
-            "profile_cell needs an attribution sink, which gensim's "
-            "generated passes decline (they do not replay per-function "
-            "spans); use engine='fast' or engine='reference'"
-        )
     exp = Experiment(stack, config, settings=settings)
     events, data_env = exp.capture_roundtrip(seed)
     build = build_configured_program(stack, config)

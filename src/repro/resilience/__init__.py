@@ -8,7 +8,7 @@ fault's real error path, and :mod:`repro.resilience.queueing` layers a
 bounded ingress queue over the stream's per-packet service cycles to
 produce p50/p99/p999 sojourn latency per offered-load point, with drop
 accounting and saturation detection.  Everything is integer-exact, so
-the fast and gensim engines produce bit-identical studies.
+equal inputs produce bit-identical studies.
 """
 
 from repro.resilience.faults import SCOPES, STREAM_FAULT_KINDS, FaultProfile

@@ -12,7 +12,7 @@ packets' classifications differ.
 The all-rates-zero profile is special by construction:
 :meth:`FaultProfile.arrivals` returns ``None`` and the driver never
 draws, so a rate-0 faulted stream is *bit-identical* to a pristine
-stream — the identity the rate-0 tests pin on both engines.
+stream — the identity the rate-0 tests pin on every stack.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ is the stream's mean service demand — 100% offers exactly one mean
 service time per mean service time, >100% overdrives the server.
 
 Everything is integer arithmetic on the simulated-cycle timeline: no
-floats touch arrival times, sojourns or percentiles, so two engines (or
-two runs) produce bit-identical latency curves.
+floats touch arrival times, sojourns or percentiles, so two runs
+produce bit-identical latency curves.
 
 Admission control is by policy: ``drop-tail`` bounds the packets in
 system at ``queue_capacity`` and drops arrivals beyond it (saturation =

@@ -30,10 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.settings import Settings
 from repro.arch.memory import MemoryConfig
-from repro.arch.simcache import (
-    gensim_cold_and_steady_cached,
-    simulate_cold_and_steady_cached,
-)
+from repro.arch.simcache import simulate_cold_and_steady_cached
 from repro.arch.simulator import MachineSimulator
 from repro.core.fastwalk import FastWalker
 from repro.core.layout import BLOCK
@@ -99,16 +96,12 @@ class CellEvaluator:
         self.stack = stack
         self.config = config
         self.settings = settings if settings is not None else Settings.from_env()
-        # search scores single samples; the guarded engines' per-sample
-        # cross-check is the experiment layer's job, so each maps to its
-        # primary (scores are bit-identical across all engines anyway)
-        base_engine = self.settings.engine
-        if base_engine == "reference":
-            self.engine = "reference"
-        elif base_engine in ("gensim", "guarded-gensim"):
-            self.engine = "gensim"
-        else:
-            self.engine = "fast"
+        # search scores single samples; the guarded engine's per-sample
+        # cross-check is the experiment layer's job, so it scores on fast
+        # (scores are bit-identical across all engines anyway)
+        self.engine = (
+            "reference" if self.settings.engine == "reference" else "fast"
+        )
         self.base_seed = base_seed
         self._clone_events = _clone_events
         self._exp = Experiment(
@@ -215,9 +208,6 @@ class CellEvaluator:
             walk = Walker(self.program, data_env).walk(list(events))
             cold = MachineSimulator().run(walk.trace)
             steady = MachineSimulator().run_steady_state(walk.trace)
-        elif self.engine == "gensim":
-            walk = FastWalker(self.program, data_env).walk(events)
-            cold, steady = gensim_cold_and_steady_cached(walk.packed)
         else:
             walk = FastWalker(self.program, data_env).walk(events)
             cold, steady = simulate_cold_and_steady_cached(walk.packed)

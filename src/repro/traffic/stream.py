@@ -1,9 +1,9 @@
 """The streaming simulator: exact transition-memoized segment replay.
 
-A dedicated machine (fast or gensim) simulates the packet stream one
-packed segment at a time.  Because both engines are *exact* — a pass
-from a bit-identical hierarchy state always produces the identical
-counter delta and exit state — the stream is a walk over a small
+A dedicated fast-engine machine simulates the packet stream one packed
+segment at a time.  Because the engine is *exact* — a pass from a
+bit-identical hierarchy state always produces the identical counter
+delta and exit state — the stream is a walk over a small
 deterministic transition graph: nodes are interned machine states,
 edges are (state, segment) pairs.  Each edge is simulated **once**; from
 then on, feeding that segment in that state costs one dict lookup and a
@@ -12,8 +12,9 @@ counter increment.  Totals are accumulated per phase as
 simulation would have accumulated.
 
 This is why the engine can push >1M packets/s through a cycle-exact
-model, and why fast and gensim produce bit-identical tables: they agree
-edge-by-edge, and the edge counts are a function of the spec alone.
+model, and why its tables match sequential simulation bit for bit: each
+edge's delta is exact, and the edge counts are a function of the spec
+alone.
 
 Both memo tables are **bounded**.  The interned-state table and the
 edge-delta table are LRU caches (``state_cap`` / ``edge_cap``); on
@@ -37,18 +38,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter, OrderedDict
-from itertools import count
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.arch.simulator import AlphaConfig
 from repro.arch.fastsim import FastMachine
 
-#: process-unique stream serials: gensim kernels are memoized globally
-#: and replay transitions by provenance token, so a token must never
-#: mean two different physical states across streams in one process
-_STREAM_SERIAL = count()
-
-#: counter indices in the engines' shared 15-counter layout
+#: counter indices in the fast engine's 15-counter delta layout
 _STALL = 11
 _INSTR = 12
 
@@ -65,19 +60,15 @@ class StreamExactnessError(RuntimeError):
 def make_stream_machine(engine: str, config: Optional[AlphaConfig] = None):
     """A persistent machine for stream simulation.
 
-    The guarded engines map to their primary (the cross-check harness
-    wraps whole experiments, not stream edges); the reference engine has
-    no packed-segment pass and is refused with a pointer at the oracle
-    tests that cover it.
+    The guarded engine maps to fast (the cross-check harness wraps whole
+    experiments, not stream edges); the reference engine has no
+    packed-segment pass and is refused with a pointer at the oracle tests
+    that cover it.
     """
     if engine in ("fast", "guarded"):
         return FastMachine(config)
-    if engine in ("gensim", "guarded-gensim"):
-        from repro.gensim.machine import GenMachine
-
-        return GenMachine(config)
     raise ValueError(
-        f"traffic streaming needs a packed-segment engine (fast or gensim), "
+        "traffic streaming needs the packed-segment fast engine, "
         f"got {engine!r}; the reference engine is exercised by the oracle "
         "tests in tests/traffic instead"
     )
@@ -106,15 +97,12 @@ class TransitionStream:
         if edge_cap < 1:
             raise ValueError("edge_cap must be positive")
         self._m = machine
-        self._is_gen = not isinstance(machine, FastMachine)
-        self._serial = next(_STREAM_SERIAL)
         self._state_cap = state_cap
         self._edge_cap = edge_cap
         self._watchdog_s = watchdog_s
         self._memo_spent = 0.0
         #: state interning: snapshot -> id (0 is the cold state; ids are
-        #: monotone and never reused, so gensim restore tokens stay
-        #: unambiguous across evictions)
+        #: monotone and never reused)
         self._next_id = 1
         # bounded: LRU-evicted against state_cap (see _intern)
         self._state_ids: Dict[tuple, int] = {}
@@ -179,14 +167,6 @@ class TransitionStream:
     def _restore(self, state_id: int) -> None:
         if state_id == 0:
             self._m.reset()
-        elif self._is_gen:
-            # the serial keeps tokens unique across streams: without it a
-            # globally-memoized kernel would replay another stream's
-            # state-3 transition for this stream's (different) state 3
-            self._m.restore_state(
-                self._snapshots[state_id],
-                token=f"stream{self._serial}:{state_id}",
-            )
         else:
             self._m.restore_state(self._snapshots[state_id])
         self._phys = state_id

@@ -6,8 +6,8 @@ instances) plus cold/steady cycle totals (from the transition-memoized
 stream).  ``run_traffic_study`` sweeps the grid and carries everything a
 paper-style table needs.
 
-All numbers are integers or exact ratios of integers, so two engines —
-or two runs — produce bit-identical JSON and rendered tables.
+All numbers are integers or exact ratios of integers, so two runs
+produce bit-identical JSON and rendered tables.
 """
 
 from __future__ import annotations
@@ -181,10 +181,8 @@ class TrafficStudy:
 
 
 def _normalize_engine(engine: str) -> str:
-    if engine in ("fast", "guarded"):
+    if engine == "guarded":
         return "fast"
-    if engine in ("gensim", "guarded-gensim"):
-        return "gensim"
     return engine  # make_stream_machine raises with the full story
 
 

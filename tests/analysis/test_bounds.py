@@ -342,26 +342,12 @@ class TestMiniPrograms:
 # --------------------------------------------------------------------------- #
 
 
-def _has_numpy():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 class TestCells:
     @pytest.mark.parametrize("stack,config", [("tcpip", "CLO"), ("rpc", "STD")])
     def test_fast_engine_invariant(self, stack, config):
         bounds, findings = check_cell_bounds(stack, config, engine="fast")
         assert findings == []
         assert bounds.cold.exact  # cold starts empty: slack = model bug
-
-    @pytest.mark.skipif(not _has_numpy(), reason="gensim needs numpy")
-    def test_gensim_engine_invariant(self):
-        bounds, findings = check_cell_bounds("tcpip", "CLO", engine="gensim")
-        assert findings == []
-        assert bounds.cold.exact
 
     def test_mutated_layouts_stay_bounded(self):
         from repro.search.artifact import pack_genome

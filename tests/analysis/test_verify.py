@@ -265,18 +265,16 @@ class TestVerifyIrHook:
     def test_experiment_build_verifies_under_env(self, monkeypatch):
         """REPRO_VERIFY_IR=1 routes experiment builds through the
         stage-hooked builder with the verifier attached."""
-        from repro.harness.experiment import (
-            Experiment,
-            verify_ir_enabled,
-        )
+        from repro.api.settings import Settings
+        from repro.harness.experiment import Experiment
 
         monkeypatch.setenv("REPRO_VERIFY_IR", "1")
-        assert verify_ir_enabled()
+        assert Settings.from_env().verify_ir
         result = Experiment("tcpip", "OUT").run(samples=1)
         assert result.samples[0].trace_length > 0
 
     def test_disabled_by_default(self, monkeypatch):
-        from repro.harness.experiment import verify_ir_enabled
+        from repro.api.settings import Settings
 
         monkeypatch.delenv("REPRO_VERIFY_IR", raising=False)
-        assert not verify_ir_enabled()
+        assert not Settings.from_env().verify_ir

@@ -10,12 +10,10 @@ machine's current ``b_ever`` can occupy.
 
 These properties run on tiny geometries whose b-cache sets alias
 (8–64 sets), under every store mode, against random packed segments and
-random pass/restore sequences, on the fast engine and both gensim paths.
+random pass/restore sequences.
 """
 
 from __future__ import annotations
-
-from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -26,16 +24,9 @@ from repro.arch.isa import Op
 from repro.arch.memory import MemoryConfig
 from repro.arch.packed import OP_CODES, PackedTrace
 from repro.arch.simulator import AlphaConfig
-from repro.gensim import GenMachine, have_numpy
-from repro.gensim.machine import SourceState
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="the vector path needs numpy")
-
-ENGINES = ["fast", "source", pytest.param("vector", marks=needs_numpy)]
-
-#: provenance tokens for gensim restores: unique per restore, so the
-#: vector path's transition memo never replays across distinct states
-_PROVENANCE = count()
+#: the packed-segment machines the streaming engine interns states on
+MACHINES = {"fast": FastMachine}
 
 _OPS = (Op.ALU, Op.BR, Op.LOAD, Op.STORE)
 
@@ -97,61 +88,30 @@ STEPS = st.lists(
 )
 
 
-def _machine(engine: str, config: AlphaConfig):
-    if engine == "fast":
-        return FastMachine(config)
-    return GenMachine(config, path=engine)
-
-
-def _restore(machine, token: tuple) -> None:
-    if isinstance(machine, FastMachine):
-        machine.restore_state(token)
-    else:
-        machine.restore_state(token, token=f"prop{next(_PROVENANCE)}")
-
-
 def _full_state(machine) -> tuple:
     """Everything a pass can observe, read off the machine directly: the
     whole tag arrays, the ever-resident sets, both buffers."""
-    if isinstance(machine, FastMachine):
-        state, prefix = machine, "_"
-    else:
-        state, prefix = machine._shaped_state(), ""
-    if isinstance(state, (FastMachine, SourceState)):
-        # the same fields; FastMachine spells them with a leading "_"
-        f = {name: getattr(state, prefix + name) for name in SourceState.__slots__}
-        return (
-            list(f["itags"]),
-            list(f["dtags"]),
-            list(f["btags"]),
-            set(f["i_ever"]),
-            set(f["d_ever"]),
-            set(f["b_ever"]),
-            list(f["wb"]),
-            set(f["wb_set"]),
-            {pair: list(blocks) for pair, blocks in f["wb_pairs"].items()},
-            f["sb_block"],
-            f["sb_was_miss"],
-        )
     return (
-        state.itags.tolist(),
-        state.dtags.tolist(),
-        state.btags.tolist(),
-        set(state.i_ever.tolist()),
-        set(state.d_ever.tolist()),
-        set(state.b_ever.tolist()),
-        state.wb,
-        state.sb_block,
-        state.sb_was_miss,
+        list(machine._itags),
+        list(machine._dtags),
+        list(machine._btags),
+        set(machine._i_ever),
+        set(machine._d_ever),
+        set(machine._b_ever),
+        list(machine._wb),
+        set(machine._wb_set),
+        {pair: list(blocks) for pair, blocks in machine._wb_pairs.items()},
+        machine._sb_block,
+        machine._sb_was_miss,
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", MACHINES)
 @settings(max_examples=40, deadline=None)
 @given(config=configs(), segments=SEGMENTS, steps=STEPS)
 def test_tokens_are_exact_under_pass_and_restore(engine, config, segments, steps):
-    producer = _machine(engine, config)
-    replayer = _machine(engine, config)
+    producer = MACHINES[engine](config)
+    replayer = MACHINES[engine](config)
     seen = [(producer.snapshot_state(), _full_state(producer))]
     for action, arg in steps:
         if action == "diverge":
@@ -159,14 +119,14 @@ def test_tokens_are_exact_under_pass_and_restore(engine, config, segments, steps
             continue
         if action == "restore":
             token, full = seen[arg % len(seen)]
-            _restore(producer, token)
+            producer.restore_state(token)
             assert _full_state(producer) == full
             assert producer.snapshot_state() == token
             continue
         # restore the producer's token onto the replayer, whatever state
         # the replayer is in, then pass the same segment on both
         token, full = producer.snapshot_state(), _full_state(producer)
-        _restore(replayer, token)
+        replayer.restore_state(token)
         assert _full_state(replayer) == full
         segment = segments[arg % len(segments)]
         delta = producer.mem_delta(segment)
@@ -180,25 +140,7 @@ def test_tokens_are_exact_under_pass_and_restore(engine, config, segments, steps
             assert (token_a == token_b) == (full_a == full_b)
 
 
-@settings(max_examples=30, deadline=None)
-@given(config=configs(), segments=SEGMENTS, steps=STEPS)
-def test_source_path_tokens_mirror_the_fast_engine(config, segments, steps):
-    fast = FastMachine(config)
-    source = GenMachine(config, path="source")
-    seen = [fast.snapshot_state()]
-    for action, arg in steps:
-        if action == "restore":
-            token = seen[arg % len(seen)]
-            _restore(fast, token)
-            _restore(source, token)
-        else:
-            segment = segments[arg % len(segments)]
-            assert source.mem_delta(segment) == fast.mem_delta(segment)
-        assert source.snapshot_state() == fast.snapshot_state()
-        seen.append(fast.snapshot_state())
-
-
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", MACHINES)
 def test_restore_clears_tags_the_target_does_not_hold(engine):
     # eight aliasing b-cache sets: a long segment fills them all, a
     # one-instruction segment holds its block and the prefetched next one
@@ -207,14 +149,14 @@ def test_restore_clears_tags_the_target_does_not_hold(engine):
     )
     wide = _segment([(word * 8, Op.LOAD, 512 + word * 8, False) for word in range(24)])
     narrow = _segment([(0, Op.ALU, 0, False)])
-    small = _machine(engine, config)
+    small = MACHINES[engine](config)
     small.mem_delta(narrow)
     token = small.snapshot_state()
-    big = _machine(engine, config)
+    big = MACHINES[engine](config)
     big.mem_delta(wide)
     assert sum(tag >= 0 for tag in _full_state(small)[2]) == 2
     assert sum(tag >= 0 for tag in _full_state(big)[2]) == 8
-    _restore(big, token)
+    big.restore_state(token)
     assert _full_state(big) == _full_state(small)
     assert big.mem_delta(wide) == small.mem_delta(wide)
     assert big.snapshot_state() == small.snapshot_state()

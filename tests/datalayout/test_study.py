@@ -53,10 +53,10 @@ class TestStudySurface:
             study.cell("tcpip", "STD", "vectorize")
 
     def test_render_names_no_engine(self, study):
-        # both CI legs regenerate one committed golden; an engine name in
-        # the rendering would make the files engine-dependent
+        # one committed golden serves every engine; an engine name in the
+        # rendering would make the file engine-dependent
         text = study.render()
-        for engine in ("fast", "gensim", "reference"):
+        for engine in ("fast", "reference"):
             assert engine not in text
         assert "write-buffer floor [tcpip]" in text
 

@@ -1,19 +1,21 @@
-"""gensim as a harness engine: dispatch, guarding, caching, faults.
+"""The engine registry after the generated-simulation engines were retired.
 
-The engine registry gained "gensim" and "guarded-gensim"; every layer
-that consumes the registry — Settings validation, the Experiment
-dispatch, the simcache, the sweep — must treat them as first-class and
-bit-identical to the engines they shadow, including under injected
-workload faults.
+``gensim`` and ``guarded-gensim`` (generated per-cell kernels) are gone;
+the registry is the reference oracle, the fast engine and the guarded
+fast engine.  Every layer that consumes the registry — Settings
+validation, the deprecated shim, the Experiment dispatch, the profiler —
+must agree on it, the engines that remain must stay bit-identical under
+injected workload faults, and the retired names must fail fast rather
+than fall through to another engine.
 """
 
 import pytest
 
-from repro.api.settings import ENGINES, Settings, validate_engine
-from repro.arch import simcache
+from repro.api.settings import ENGINE_ENV, ENGINES, Settings, validate_engine
 from repro.faults.plan import FaultPlan
-from repro.gensim import GensimCapabilityError
 from repro.harness.experiment import Experiment, resolve_engine
+
+RETIRED = ("gensim", "guarded-gensim")
 
 
 def _shape(result):
@@ -28,9 +30,8 @@ def _shape(result):
 # --------------------------------------------------------------------------- #
 
 
-def test_registry_contains_the_gensim_engines():
-    assert "gensim" in ENGINES
-    assert "guarded-gensim" in ENGINES
+def test_registry_is_the_oracle_plus_the_fast_engine():
+    assert ENGINES == ("fast", "reference", "guarded")
 
 
 def test_fail_fast_error_names_every_registered_engine():
@@ -38,6 +39,13 @@ def test_fail_fast_error_names_every_registered_engine():
         validate_engine("nonesuch")
     for engine in ENGINES:
         assert engine in str(err.value)
+
+
+def test_retired_engine_names_are_rejected_naming_the_valid_ones():
+    for engine in RETIRED:
+        with pytest.raises(ValueError) as err:
+            Settings.from_env({ENGINE_ENV: engine})
+        assert "fast, reference, guarded" in str(err.value)
 
 
 def test_settings_accept_every_registered_engine():
@@ -48,7 +56,7 @@ def test_settings_accept_every_registered_engine():
 
 def test_deprecated_shim_validates_against_the_same_registry():
     with pytest.warns(DeprecationWarning):
-        assert resolve_engine("gensim") == "gensim"
+        assert resolve_engine("reference") == "reference"
     with pytest.warns(DeprecationWarning):
         with pytest.raises(ValueError) as err:
             resolve_engine("nonesuch")
@@ -66,49 +74,6 @@ def test_experiment_dispatch_covers_every_registered_engine():
 
 
 # --------------------------------------------------------------------------- #
-# engine parity                                                               #
-# --------------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("stack,config", [("tcpip", "BAD"), ("rpc", "ALL")])
-def test_gensim_experiment_matches_fast_and_reference(stack, config):
-    results = {
-        engine: Experiment(stack, config, engine=engine).run(samples=2)
-        for engine in ("fast", "gensim", "guarded-gensim", "reference")
-    }
-    base = _shape(results["fast"])
-    for engine, result in results.items():
-        assert _shape(result) == base, engine
-    for f, g in zip(results["fast"].samples, results["gensim"].samples):
-        assert f.cold == g.cold
-        assert f.steady == g.steady
-
-
-def test_guarded_gensim_records_no_divergence_on_clean_runs():
-    exp = Experiment("rpc", "STD", engine="guarded-gensim")
-    exp.run(samples=2)
-    assert exp.divergences == []
-    assert exp._live_engine == "guarded-gensim"
-
-
-def test_guarded_gensim_falls_back_on_divergence():
-    # a chaos perturbation models a gensim bug: the guard must catch it,
-    # record the divergence and degrade to the reference engine
-    from repro.faults.chaos import parse_rules
-
-    settings = Settings(
-        engine="guarded-gensim",
-        chaos=tuple(parse_rules("perturb:STD:*")),
-    )
-    exp = Experiment("tcpip", "STD", settings=settings)
-    result = exp.run(samples=2)
-    assert exp.divergences
-    assert exp._live_engine == "reference"
-    clean = Experiment("tcpip", "STD", engine="reference").run(samples=2)
-    assert _shape(result) == _shape(clean)
-
-
-# --------------------------------------------------------------------------- #
 # parity under faults (rate 1.0: every opportunity fires)                     #
 # --------------------------------------------------------------------------- #
 
@@ -116,56 +81,13 @@ def test_guarded_gensim_falls_back_on_divergence():
 @pytest.mark.parametrize("stack", ("tcpip", "rpc"))
 def test_full_rate_faults_bit_identical_to_reference(stack):
     plan = FaultPlan(stack=stack, rate=1.0, seed=11)
-    gen = Experiment(stack, "STD", engine="gensim", fault_plan=plan).run(samples=2)
+    fast = Experiment(stack, "STD", engine="fast", fault_plan=plan).run(samples=2)
     ref = Experiment(stack, "STD", engine="reference", fault_plan=plan).run(samples=2)
-    assert _shape(gen) == _shape(ref)
-    assert gen.total_faults == ref.total_faults > 0
-    for g, r in zip(gen.samples, ref.samples):
-        assert g.cold == r.cold
-        assert g.steady == r.steady
-
-
-# --------------------------------------------------------------------------- #
-# simcache keying                                                             #
-# --------------------------------------------------------------------------- #
-
-
-def test_gensim_cache_entries_are_keyed_apart_from_fast(walk_std):
-    simcache.clear_caches()
-    fast = simcache.simulate_cold_and_steady_cached(walk_std.packed)
-    misses_after_fast = simcache.misses
-    gen = simcache.gensim_cold_and_steady_cached(walk_std.packed)
-    # the gensim memory entry is a fresh miss (the cpu side legitimately
-    # shares the engine-independent cpu-key cache)
-    assert simcache.misses > misses_after_fast
-    assert gen == fast
-    hits_before = simcache.hits
-    again = simcache.gensim_cold_and_steady_cached(walk_std.packed)
-    assert simcache.hits > hits_before
-    assert again == gen
-    assert again[0].memory is not gen[0].memory  # copies, never the stored pair
-    simcache.clear_caches()
-
-
-def test_gensim_cache_key_carries_generator_version_and_cell(walk_std):
-    from repro.gensim.machine import GEN_VERSION, cell_fingerprint
-
-    simcache.clear_caches()
-    simcache.gensim_cold_and_steady_cached(walk_std.packed)
-    modes = [key[2] for key in simcache._results]
-    assert modes == [f"gensim:{GEN_VERSION}:{cell_fingerprint()}:steady:2"]
-    simcache.clear_caches()
-
-
-@pytest.fixture(scope="module")
-def walk_std():
-    from repro.core.walker import Walker
-    from repro.harness.configs import build_configured_program_cached
-
-    exp = Experiment("tcpip", "STD")
-    events, data_env = exp.capture_roundtrip(42)
-    build = build_configured_program_cached("tcpip", "STD")
-    return Walker(build.program, data_env).walk(events)
+    assert _shape(fast) == _shape(ref)
+    assert fast.total_faults == ref.total_faults > 0
+    for f, r in zip(fast.samples, ref.samples):
+        assert f.cold == r.cold
+        assert f.steady == r.steady
 
 
 # --------------------------------------------------------------------------- #
@@ -176,6 +98,6 @@ def walk_std():
 def test_profile_cell_declines_gensim():
     from repro.harness.profile import profile_cell
 
-    for engine in ("gensim", "guarded-gensim"):
-        with pytest.raises(GensimCapabilityError, match="attribution"):
+    for engine in RETIRED:
+        with pytest.raises(ValueError, match="valid engines: fast, reference"):
             profile_cell("tcpip", "STD", engine=engine)

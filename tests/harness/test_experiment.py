@@ -2,27 +2,27 @@
 
 import pytest
 
+from repro.api.settings import Settings
 from repro.harness.configs import build_configured_program
-from repro.harness.experiment import ENGINES, Experiment, resolve_engine
+from repro.harness.experiment import ENGINES, Experiment
 from repro.harness.latency import CONTROLLER_ROUNDTRIP_US, LatencyModel
 
 
 class TestResolveEngine:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine("fast") == "fast"
+    def test_explicit_argument_wins(self):
+        env = {"REPRO_SIM_ENGINE": "reference"}
+        assert Settings.from_env(env, engine="fast").engine == "fast"
 
-    def test_env_var_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine() == "reference"
+    def test_env_var_is_honoured(self):
+        env = {"REPRO_SIM_ENGINE": "reference"}
+        assert Settings.from_env(env).engine == "reference"
 
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert resolve_engine() == "fast"
+    def test_default_is_fast(self):
+        assert Settings.from_env({}).engine == "fast"
 
     def test_unknown_engine_fails_fast_listing_valid_ones(self):
         with pytest.raises(ValueError) as excinfo:
-            resolve_engine("turbo")
+            Settings.from_env({}, engine="turbo")
         message = str(excinfo.value)
         assert "turbo" in message
         for engine in ENGINES:

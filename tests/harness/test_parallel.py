@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api.settings import Settings
 from repro.harness.experiment import (
     Experiment,
     clear_capture_memo,
-    resolve_engine,
     run_all_configs,
 )
 from repro.harness.parallel import run_parallel_sweep
@@ -49,13 +49,16 @@ def test_engines_agree_end_to_end():
         assert f.roundtrip_us == r.roundtrip_us
 
 
-def test_resolve_engine_precedence(monkeypatch):
-    assert resolve_engine() == "fast"
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-    assert resolve_engine() == "reference"
-    assert resolve_engine("fast") == "fast"    # explicit beats environment
+def test_resolve_engine_precedence():
+    # explicit environ mappings: the outcome must not depend on the
+    # REPRO_SIM_ENGINE this file happens to run under
+    assert Settings.from_env({}).engine == "fast"
+    env = {"REPRO_SIM_ENGINE": "reference"}
+    assert Settings.from_env(env).engine == "reference"
+    # explicit beats environment
+    assert Settings.from_env(env, engine="fast").engine == "fast"
     with pytest.raises(ValueError):
-        resolve_engine("warp")
+        Settings.from_env({}, engine="warp")
 
 
 def test_capture_memo_hands_out_independent_clones():

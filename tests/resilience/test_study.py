@@ -2,9 +2,9 @@
 
 The rate-0 identity is the tentpole invariant: a fault profile whose
 rates are all zero must produce a traffic point *bit-identical* to a
-pristine :func:`run_traffic_point` run — on the fast engine and on both
-gensim paths.  With any positive rate, equal (profile, spec) inputs must
-reproduce the same study to the byte.
+pristine :func:`run_traffic_point` run on every stack.  With any
+positive rate, equal (profile, spec) inputs must reproduce the same
+study to the byte.
 """
 
 import json
@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro import api
-from repro.gensim import have_numpy
 from repro.harness.parallel import CellIncident, SweepReport
 from repro.harness.reporting import render_resilience_table
 from repro.resilience import (
@@ -22,10 +21,6 @@ from repro.resilience import (
     run_resilience_study,
 )
 from repro.traffic import TrafficSpec, run_traffic_point
-
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="the vector path needs numpy"
-)
 
 SMALL = TrafficSpec(packets=2_000, flows=200, warmup_packets=400, seed=0)
 CHURNED = SMALL.with_(churn=0.005)
@@ -46,16 +41,6 @@ class TestRateZeroIdentity:
             zero.traffic.to_json()
         )
         assert zero.faulted_packets == 0
-
-    @needs_numpy
-    def test_zero_profile_is_pristine_on_gensim(self):
-        pristine = run_traffic_point(CHURNED, "lru:4", engine="gensim")
-        zero = run_resilience_point(
-            CHURNED, "lru:4", profile=ZERO, overload=LOADS, engine="gensim"
-        )
-        assert json.dumps(pristine.to_json()) == json.dumps(
-            zero.traffic.to_json()
-        )
 
     def test_explicit_zero_rates_take_the_same_fast_path(self):
         explicit = FaultProfile(
@@ -84,21 +69,6 @@ class TestFaultedPoints:
             CHURNED, "lru:4", profile=FAULTY, overload=LOADS
         )
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
-
-    @needs_numpy
-    @pytest.mark.parametrize("stack", ["tcpip", "rpc", "mixed"])
-    def test_fast_and_gensim_agree_on_faulted_streams(self, stack):
-        spec = CHURNED.with_(stack=stack)
-        fast = run_resilience_point(
-            spec, "lru:4", profile=FAULTY, overload=LOADS, engine="fast"
-        )
-        gen = run_resilience_point(
-            spec, "lru:4", profile=FAULTY, overload=LOADS, engine="gensim"
-        )
-        a, b = fast.to_json(), gen.to_json()
-        assert a["traffic"].pop("engine") == "fast"
-        assert b["traffic"].pop("engine") == "gensim"
-        assert json.dumps(a) == json.dumps(b)
 
     def test_every_kind_arrives_and_is_counted(self):
         point = run_resilience_point(
@@ -215,7 +185,7 @@ class TestRunResilienceStudy:
         table = render_resilience_table(study)
         assert "Resilience study: tcpip OUT" in table
         assert "saturates at" in table or "no saturation" in table
-        assert "fast" not in table and "gensim" not in table
+        assert "fast" not in table
         assert table == render_resilience_table(study)
 
 

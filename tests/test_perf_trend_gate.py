@@ -112,7 +112,7 @@ class TestDatalayoutGate:
         grid = grid_payload()
         baseline = write_json(tmp_path / "baseline.json", {"grid": grid})
         fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "gensim", "grid": grid}
+            tmp_path / "fresh.json", {"engine": "fast", "grid": grid}
         )
         rc = gate.main(
             ["--datalayout", fresh, "--datalayout-baseline", baseline]

@@ -16,11 +16,8 @@ import json
 
 import pytest
 
-from repro.gensim import have_numpy
 from repro.resilience import FaultProfile, OverloadSpec, run_resilience_point
 from repro.traffic import TrafficSpec, run_traffic_point
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="the vector path needs numpy")
 
 #: churned, so binds, unbinds and invalidations all move, and long
 #: enough to cross the warm-up boundary
@@ -97,14 +94,13 @@ def test_traffic_point_output_is_pinned(mix, scheme):
     assert _digest(point.to_json()) == TRAFFIC_DIGESTS[mix][scheme]
 
 
-def _resilience_point(name: str, engine: str = "fast"):
+def _resilience_point(name: str):
     spec, rate, _ = RESILIENCE_POINTS[name]
     return run_resilience_point(
         spec,
         "lru:4",
         profile=FaultProfile.uniform(rate, seed=0),
         overload=OverloadSpec(loads=(80, 100, 120), queue_capacity=64),
-        engine=engine,
     )
 
 
@@ -122,13 +118,3 @@ def test_faulted_mixed_resilience_point_output_is_pinned():
 def test_mixed_churn_resilience_point_output_is_pinned():
     point = _resilience_point("mixed-churn")
     assert _digest(point.to_json()) == MIXED_CHURN_DIGEST
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(RESILIENCE_POINTS))
-def test_gensim_resilience_point_matches_the_pinned_output(name):
-    doc = _resilience_point(name, engine="gensim").to_json()
-    assert doc["traffic"]["engine"] == "gensim"
-    # the engine is a setting, not a result: set it aside
-    doc["traffic"]["engine"] = "fast"
-    assert _digest(doc) == RESILIENCE_POINTS[name][2]

@@ -10,13 +10,8 @@ import json
 
 import pytest
 
-from repro.gensim import have_numpy
 from repro.traffic import TrafficSpec, run_traffic_point
 from repro.traffic.stream import StreamExactnessError, TransitionStream
-
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="the vector path needs numpy"
-)
 
 #: enough alphabet pressure (scan + churn) to force evictions at tiny caps
 SPEC = TrafficSpec(
@@ -52,13 +47,6 @@ class TestMemoCaps:
         a = run_traffic_point(TINY, "lru:4").to_json()
         b = run_traffic_point(TINY, "lru:4").to_json()
         assert a == b
-
-    @needs_numpy
-    def test_capped_fast_equals_capped_gensim(self):
-        fast = run_traffic_point(TINY, "lru:4", engine="fast")
-        gen = run_traffic_point(TINY, "lru:4", engine="gensim")
-        assert _totals(fast) == _totals(gen)
-        assert fast.memo_evictions == gen.memo_evictions
 
     def test_default_caps_never_evict_on_the_golden_cell(self):
         point = run_traffic_point(

@@ -114,13 +114,16 @@ class TestApiVerb:
         assert study.engine == "fast"
         assert len(study.points) == 1
 
-    def test_engine_override_beats_environment(self):
+    def test_engine_override_beats_environment(self, monkeypatch):
+        # the environment names the reference engine, which streaming
+        # refuses; the spec's explicit engine must win over it
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
         study = api.traffic(api.TrafficStudySpec(
             traffic=SMALL.with_(packets=600, warmup_packets=100, flows=50),
             schemes=("none",),
-            engine="gensim",
+            engine="fast",
         ))
-        assert study.engine == "gensim"
+        assert study.engine == "fast"
 
     def test_default_spec_is_the_acceptance_cell(self):
         # don't run it (1M packets) — just check the wiring resolves it
