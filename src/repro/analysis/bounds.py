@@ -38,11 +38,11 @@ layout-independent digest of the walked trace:
   warm-ups (both engines use ``warmup_rounds=2``).  The analyzer replays
   two concrete passes, then iterates ``state := state JOIN
   transfer(state)`` to a fixed point: the result over-approximates the
-  entry state of *every* later pass, so one abstract pass from it bounds
-  the steady measurement for any warm-up count >= 2.  When pass states
-  reach a concrete fixed point immediately (the common case — the fast
-  engine's warm-up shortcut relies on the same property), the steady
-  bounds are exact as well.
+  entry state of *every* later pass, so one abstract pass from it (the
+  converged iteration's own pass) bounds the steady measurement for any
+  warm-up count >= 2.  When pass states reach a concrete fixed point
+  immediately (the common case — the fast engine's warm-up shortcut
+  relies on the same property), the steady bounds are exact as well.
 
 :func:`check_cell_bounds` validates the invariant against a chosen
 engine; the search prefilter (:mod:`repro.search.evaluate`) re-binds one
@@ -68,6 +68,7 @@ from typing import (
 from repro.analysis.verify import Finding
 from repro.arch.isa import INSTRUCTION_SIZE, TraceEntry
 from repro.arch.memory import MemoryConfig
+from repro.arch.packed import FLAG_DWRITE, PackedTrace
 from repro.core.placement import run_blocks
 from repro.core.program import Program
 from repro.obs.layers import layer_of
@@ -132,18 +133,25 @@ class TraceDigest:
     instructions: int
 
 
-def digest_trace(trace: Iterable[TraceEntry], program: Program) -> TraceDigest:
+def digest_trace(
+    trace: Union[PackedTrace, Iterable[TraceEntry]], program: Program
+) -> TraceDigest:
     """Digest ``trace`` against ``program``'s current layout.
 
     Offsets are relative to each function's base address, so the digest
     is valid under any re-layout of the same program (the walk itself is
-    layout-invariant; only pcs move).
+    layout-invariant; only pcs move).  The digest reads the packed
+    columns; a ``TraceEntry`` sequence is packed first.
     """
+    packed = (
+        trace if isinstance(trace, PackedTrace) else PackedTrace.from_entries(trace)
+    )
     ranges = program.occupied_ranges()
     starts = [r[0] for r in ranges]
     ends = [r[1] for r in ranges]
     names = [r[2] for r in ranges]
     bases = {name: program.address_of(name) for name in names}
+    block = MemoryConfig.block_size
 
     events: List[DigestEvent] = []
     fn = ""
@@ -151,10 +159,7 @@ def digest_trace(trace: Iterable[TraceEntry], program: Program) -> TraceDigest:
     count = 0
     next_pc = -1
     cur_end = -1
-    instructions = 0
-    for entry in trace:
-        instructions += 1
-        pc = entry.pc
+    for pc, daddr, flags in zip(packed.pcs, packed.daddrs, packed.flags):
         if count and pc == next_pc and pc < cur_end:
             count += 1
         else:
@@ -170,14 +175,14 @@ def digest_trace(trace: Iterable[TraceEntry], program: Program) -> TraceDigest:
             cur_end = ends[i]
             count = 1
         next_pc = pc + INSTRUCTION_SIZE
-        if entry.daddr is not None:
+        if daddr >= 0:
             events.append(("X", fn, start, count))
-            kind = "W" if entry.dwrite else "R"
-            events.append((kind, fn, entry.daddr // MemoryConfig.block_size, 0))
+            kind = "W" if flags & FLAG_DWRITE else "R"
+            events.append((kind, fn, daddr // block, 0))
             count = 0
     if count:
         events.append(("X", fn, start, count))
-    return TraceDigest(events=tuple(events), instructions=instructions)
+    return TraceDigest(events=tuple(events), instructions=len(packed))
 
 
 def bind_digest(
@@ -191,10 +196,14 @@ def bind_digest(
     ``placements`` maps every executed function to its base address (the
     same shape the layout search scores).  Execution runs expand to one
     fetch event per cache block entered — the block boundaries of this
-    particular layout.
+    particular layout.  A fetch of the block the previous fetch event
+    touched is dropped: only data events lie between the two, and they
+    leave the i-cache alone, so it is a must-hit that charges nothing
+    and changes no state.
     """
     out: List[BoundEvent] = []
     append = out.append
+    last = -1
     for kind, fn, a, b in digest.events:
         if kind == "X":
             for blk in run_blocks(
@@ -204,7 +213,9 @@ def bind_digest(
                 block_bytes=block_bytes,
                 instr_bytes=INSTRUCTION_SIZE,
             ):
-                append((0, blk, fn))
+                if blk != last:
+                    append((0, blk, fn))
+                    last = blk
         elif kind == "R":
             append((1, a, fn))
         else:
@@ -727,12 +738,14 @@ class BoundsAnalyzer:
 
         # persistence: join entry states of every later pass to a fixed
         # point, so one abstract pass bounds any measurement after >= 2
-        # warm-ups (the join sequence is monotone, hence finite)
+        # warm-ups (the join sequence is monotone, hence finite).  The
+        # converged iteration's pass started from the fixed point itself,
+        # so its accumulator is the steady bound.
         joined = st
         iterations = 0
         while True:
             nxt = joined.copy()
-            self.run_pass(nxt)
+            steady = self.run_pass(nxt)
             merged = joined.join(nxt)
             if merged == joined:
                 break
@@ -743,7 +756,6 @@ class BoundsAnalyzer:
                     "persistence analysis failed to converge "
                     f"after {self.MAX_JOINS} joins"
                 )
-        steady = self.run_pass(joined.copy())
         return LatencyBounds(
             stack=stack,
             config=config,
@@ -811,7 +823,7 @@ def cell_digest(
 ) -> Tuple[TraceDigest, Dict[str, int]]:
     """(digest, default placements) of one (stack, config) cell."""
     program, walk = _cell_walk(stack, config, opts=opts, seed=seed)
-    digest = digest_trace(walk.trace, program)
+    digest = digest_trace(walk.packed, program)
     placements = {
         name: program.address_of(name) for name in program.names()
     }
@@ -854,7 +866,7 @@ def check_cell_bounds(
     from repro.arch.simulator import AlphaConfig, MachineSimulator
 
     program, walk = _cell_walk(stack, config, opts=opts, seed=seed)
-    digest = digest_trace(walk.trace, program)
+    digest = digest_trace(walk.packed, program)
     placements = {
         name: program.address_of(name) for name in program.names()
     }

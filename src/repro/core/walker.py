@@ -661,6 +661,9 @@ class Walker:
             walk_function(program.resolve_entry(ev.fn), ev.conds, ev.data, ordinal)
             expect_exit(ev.fn)
 
+        # the two mutually recursive closures form a reference cycle that
+        # holds the program; break it so the build is freed on release
+        del walk_function, step_terminator
         packed = PackedTrace(pcs, daddrs, ops, flags)
         return WalkResult(packed, marks)
 

@@ -2,8 +2,11 @@
 
 Every cell of the paper's 12-cell grid (2 stacks × 6 code configurations)
 is re-measured under each :class:`~repro.datalayout.techniques.
-DataTechnique`: a fresh build is layout-transformed, walked, simulated by
-the chosen engine, attributed stall by stall through the
+DataTechnique`.  A fresh build is layout-transformed, walked and digested
+once per distinct layout transform — ``baseline`` and the store-only
+techniques share the untransformed image, and ``split`` and ``all`` share
+the split one — and each technique's store behaviour is then simulated on
+that image by the chosen engine, attributed stall by stall through the
 :class:`~repro.obs.attribution.Attribution` replica (whose totals are
 checked against the engine — :class:`AttributionMismatch` otherwise), and
 bracketed by the abstract-interpretation bounds of
@@ -24,7 +27,9 @@ from repro.datalayout.techniques import DATA_TECHNIQUES, DataTechnique
 from repro.datalayout.transforms import LayoutReport, apply_data_layout
 
 if TYPE_CHECKING:
+    from repro.analysis.bounds import TraceDigest
     from repro.arch.simulator import AlphaConfig, SimResult
+    from repro.core.program import Program
     from repro.core.walker import WalkResult
     from repro.harness.configs import Section2Options
 
@@ -223,64 +228,86 @@ def _measure(
     return simulate_cold_and_steady_cached(walk.packed, machine_cfg)
 
 
-def datalayout_cell(
+@dataclass(frozen=True)
+class _Image:
+    """One cell's build under one layout transform: transformed, walked
+    and digested once, then measured under every store behaviour that
+    shares the transform."""
+
+    program: Program
+    layout: LayoutReport
+    walk: WalkResult
+    digest: TraceDigest
+    placements: Dict[str, int]
+
+
+def _image(
     stack: str,
     config: str,
     technique: DataTechnique,
     *,
-    engine: str = "fast",
-    seed: int = 42,
-    opts: Optional[Section2Options] = None,
-) -> DatalayoutCell:
-    """Measure one grid cell under one data technique."""
-    from repro.analysis.bounds import bounds_from_digest, digest_trace
-    from repro.arch.simulator import AlphaConfig
+    seed: int,
+    opts: Optional[Section2Options],
+) -> _Image:
+    from repro.analysis.bounds import digest_trace
     from repro.core.fastwalk import FastWalker
     from repro.harness.configs import build_configured_program
     from repro.harness.experiment import Experiment, _clone_events
-    from repro.obs import Attribution
-
-    primary = _PRIMARY.get(engine)
-    if primary is None:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    mem = technique.memory()
-    machine_cfg = AlphaConfig(memory=mem)
 
     # a fresh (uncached) build: the transform rewrites instruction lists
     # in place, which must never happen to a shared cached BuildResult
     build = build_configured_program(stack, config, opts)
-    report: LayoutReport = apply_data_layout(
+    layout = apply_data_layout(
         build.program,
         pack=technique.pack,
         split=technique.split,
-        block_size=mem.block_size,
+        block_size=technique.memory().block_size,
     )
-
     exp = Experiment(stack, config, opts, base_seed=seed)
     events, data_env = exp.capture_roundtrip(seed)
     walk = FastWalker(build.program, dict(data_env)).walk(_clone_events(events))
+    return _Image(
+        program=build.program,
+        layout=layout,
+        walk=walk,
+        digest=digest_trace(walk.packed, build.program),
+        placements={
+            name: build.program.address_of(name) for name in build.program.names()
+        },
+    )
 
-    cold, steady = _measure(primary, walk, machine_cfg)
+
+def _measure_cell(
+    image: _Image,
+    stack: str,
+    config: str,
+    technique: DataTechnique,
+    engine: str,
+) -> DatalayoutCell:
+    """Measure one technique's store behaviour on its layout's image."""
+    from repro.analysis.bounds import bounds_from_digest
+    from repro.arch.simulator import AlphaConfig
+    from repro.obs import Attribution
+
+    mem = technique.memory()
+    machine_cfg = AlphaConfig(memory=mem)
+    cold, steady = _measure(engine, image.walk, machine_cfg)
 
     # the attribution replica re-derives both measurements bucket by
-    # bucket; verify_total is the AttributionMismatch invariant
-    sink = Attribution(build.program, config=machine_cfg)
-    sink.observe_pass(walk.packed, measure=True)
+    # bucket over the engines' pass structure (cold, one warm-up, steady);
+    # verify_total is the AttributionMismatch invariant
+    packed = image.walk.packed
+    sink = Attribution(image.program, config=machine_cfg)
+    sink.observe_pass(packed, measure=True)
     cold_report = sink.harvest("cold")
     cold_report.verify_total(cold.memory.stall_cycles)
-    sink.observe_pass(walk.packed, measure=False)
-    sink.observe_pass(walk.packed, measure=False)
-    sink.observe_pass(walk.packed, measure=True)
+    sink.observe_pass(packed, measure=False)
+    sink.observe_pass(packed, measure=True)
     steady_report = sink.harvest("steady")
     steady_report.verify_total(steady.memory.stall_cycles)
 
-    digest = digest_trace(walk.trace, build.program)
-    placements = {
-        name: build.program.address_of(name) for name in build.program.names()
-    }
     bounds = bounds_from_digest(
-        digest, placements, stack=stack, config=config, memory=mem
+        image.digest, image.placements, stack=stack, config=config, memory=mem
     )
 
     cold_stalls = cold.memory.stall_cycles
@@ -294,14 +321,36 @@ def datalayout_cell(
         wb_cold=cold_report.by_cache()["write-buffer"],
         wb_steady=steady_report.by_cache()["write-buffer"],
         dcache_steady=steady_report.by_cache()["dcache"],
-        bytes_saved=report.bytes_saved,
-        refs_rewritten=report.rewritten,
+        bytes_saved=image.layout.bytes_saved,
+        refs_rewritten=image.layout.rewritten,
         steady_lower=bounds.steady.lower_stalls,
         steady_upper=bounds.steady.upper_stalls,
         cold_exact=(
             bounds.cold.lower_stalls == cold_stalls == bounds.cold.upper_stalls
         ),
     )
+
+
+def _primary(engine: str) -> str:
+    primary = _PRIMARY.get(engine)
+    if primary is None:
+        raise ValueError(f"unknown engine {engine!r}")
+    return primary
+
+
+def datalayout_cell(
+    stack: str,
+    config: str,
+    technique: DataTechnique,
+    *,
+    engine: str = "fast",
+    seed: int = 42,
+    opts: Optional[Section2Options] = None,
+) -> DatalayoutCell:
+    """Measure one grid cell under one data technique."""
+    primary = _primary(engine)
+    image = _image(stack, config, technique, seed=seed, opts=opts)
+    return _measure_cell(image, stack, config, technique, primary)
 
 
 def run_datalayout_study(
@@ -315,14 +364,17 @@ def run_datalayout_study(
 ) -> DatalayoutStudy:
     """Run the full data-technique grid.
 
+    Each (stack, config) cell is built once per distinct layout transform
+    (:attr:`DataTechnique.layout`), and that image is measured under every
+    technique sharing the transform; one image is alive at a time.
+
     Raises :class:`~repro.obs.attribution.AttributionMismatch` if any
     cell's attributed stalls diverge from the engine's measurement — a
     completed study carries the invariant for every cell it holds.
     """
     from repro.harness.configs import CONFIG_NAMES
 
-    if engine not in _PRIMARY:
-        raise ValueError(f"unknown engine {engine!r}")
+    primary = _primary(engine)
     names = tuple(techniques if techniques is not None else DATA_TECHNIQUES)
     unknown = [n for n in names if n not in DATA_TECHNIQUES]
     if unknown:
@@ -331,20 +383,27 @@ def run_datalayout_study(
         # the floors (and therefore the summary) are defined vs. baseline
         names = ("baseline",) + names
     cfg_names = tuple(configs if configs is not None else CONFIG_NAMES)
-
-    study = DatalayoutStudy(engine=engine, seed=seed, techniques=names)
+    by_layout: Dict[str, List[DataTechnique]] = {}
     for name in names:
         technique = DATA_TECHNIQUES[name]
-        for stack in stacks:
-            for config in cfg_names:
-                study.cells.append(
-                    datalayout_cell(
-                        stack,
-                        config,
-                        technique,
-                        engine=engine,
-                        seed=seed,
-                        opts=opts,
+        by_layout.setdefault(technique.layout, []).append(technique)
+
+    measured: Dict[Tuple[str, str, str], DatalayoutCell] = {}
+    for stack in stacks:
+        for config in cfg_names:
+            for sharing in by_layout.values():
+                image = _image(stack, config, sharing[0], seed=seed, opts=opts)
+                for technique in sharing:
+                    measured[(technique.name, stack, config)] = _measure_cell(
+                        image, stack, config, technique, primary
                     )
-                )
+                del image  # released before the next is built: one alive at a time
+
+    study = DatalayoutStudy(engine=engine, seed=seed, techniques=names)
+    study.cells = [
+        measured[(name, stack, config)]
+        for name in names
+        for stack in stacks
+        for config in cfg_names
+    ]
     return study

@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.arch.memory import MemoryConfig
+from repro.datalayout.transforms import layout_transform
 
 __all__ = ["DataTechnique", "DATA_TECHNIQUES", "TECHNIQUE_NAMES"]
 
@@ -46,8 +47,11 @@ class DataTechnique:
         )
 
     @property
-    def transforms_layout(self) -> bool:
-        return self.pack or self.split
+    def layout(self) -> str:
+        """The layout transform applied: ``"none"``, ``"pack"`` or
+        ``"split"`` (see :func:`~repro.datalayout.transforms.
+        layout_transform`)."""
+        return layout_transform(pack=self.pack, split=self.split)
 
     def to_json(self) -> Dict[str, object]:
         return {

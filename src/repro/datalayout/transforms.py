@@ -53,6 +53,7 @@ __all__ = [
     "RegionLayout",
     "LayoutReport",
     "apply_data_layout",
+    "layout_transform",
     "region_remaps",
 ]
 
@@ -114,6 +115,20 @@ class LayoutReport:
         }
 
 
+def layout_transform(*, pack: bool, split: bool) -> str:
+    """The transform a ``(pack, split)`` request applies: ``"split"``,
+    ``"pack"`` or ``"none"``.
+
+    Splitting subsumes packing (it packs each half), so a request with
+    ``split`` set rewrites a program identically whatever ``pack`` says;
+    two requests naming the same transform may share one transformed
+    program.
+    """
+    if split:
+        return "split"
+    return "pack" if pack else "none"
+
+
 def _survey(
     program: Program,
 ) -> Tuple[Dict[str, Set[int]], Dict[str, Set[int]], Set[str]]:
@@ -159,6 +174,7 @@ def region_remaps(
     Returns ``(remaps, layouts, skipped)``; the remap of each region is a
     total injective map over its referenced scalar offsets.
     """
+    transform = layout_transform(pack=pack, split=split)
     offsets, hot, indexed = _survey(program)
     remaps: Dict[str, Dict[int, int]] = {}
     layouts: Dict[str, RegionLayout] = {}
@@ -169,7 +185,7 @@ def region_remaps(
             continue
         fields = sorted(offsets[region])
         cold = sorted(offsets[region] - hot.get(region, set()))
-        if split:
+        if transform == "split":
             hot_fields = sorted(hot.get(region, set()))
             remap = _pack(hot_fields, 0)
             hot_end = (remap[hot_fields[-1]] + 1) if hot_fields else 0
@@ -178,7 +194,7 @@ def region_remaps(
             cold_base = ((hot_end + block_size - 1) // block_size + 1) * block_size
             remap.update(_pack(cold, cold_base))
             span_after = hot_end
-        elif pack:
+        elif transform == "pack":
             remap = _pack(fields, 0)
             span_after = remap[fields[-1]] + 1
         else:
@@ -203,12 +219,12 @@ def apply_data_layout(
 ) -> LayoutReport:
     """Rewrite ``program``'s scalar data references under the chosen remap.
 
-    ``split`` subsumes ``pack``; with neither, the program is untouched
-    and the report is empty.  The program must be a *fresh* build — the
-    harness's cached builds share ``BuildResult`` objects between callers
-    and must never be mutated.
+    ``split`` subsumes ``pack`` (:func:`layout_transform`); with neither,
+    the program is untouched and the report is empty.  The program must be
+    a *fresh* build — the harness's cached builds share ``BuildResult``
+    objects between callers and must never be mutated.
     """
-    if not (pack or split):
+    if layout_transform(pack=pack, split=split) == "none":
         return LayoutReport(pack=pack, split=split, regions=(), skipped=(),
                             rewritten=0)
     remaps, layouts, skipped = region_remaps(

@@ -19,13 +19,17 @@ write buffer:
 * ``write-buffer`` — stalls charged by the write buffer (store->load
   forwarding drains and overflow retirements).
 
-The replica steps instruction by instruction with the *same decisions* as
+The replica makes the *same decisions* as
 :class:`repro.arch.memory.MemoryHierarchy` and the fused kernel in
 :mod:`repro.arch.fastsim` (which are bit-identical to each other), so the
 bucket sums equal the engine's reported stall total exactly — an invariant
 the engines enforce at run time whenever a sink is attached
 (:class:`AttributionMismatch`) and the test suite checks across the whole
-Table-4 sweep.
+Table-4 sweep.  Like the fused kernel, it replays the fetch stream one
+*run* at a time (consecutive instructions fetching from one cache block,
+of which only the first can miss) with the run's data accesses in trace
+order; the runs, their owning functions and the per-function instruction
+counts are derived once per observed trace, not on every pass.
 
 Attribution is strictly a *post-pass*: the fast kernel's inner loops do not
 gain a single branch.  ``FastMachine`` runs its fused pass untouched and
@@ -36,13 +40,15 @@ neither engine does any extra work.
 
 from __future__ import annotations
 
+import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.arch.fastsim import as_packed, derived_columns
 from repro.arch.isa import TraceEntry
 from repro.arch.memory import MemoryConfig
-from repro.arch.packed import FLAG_DWRITE, PackedTrace
+from repro.arch.packed import PackedTrace
 from repro.arch.simulator import AlphaConfig
 from repro.core.program import Program
 from repro.obs.conflicts import ConflictMatrix
@@ -87,6 +93,10 @@ class Bucket:
     events: int = 0
 
 
+#: the open upper end of the pc gap past the last laid-out function
+_PC_LIMIT = 1 << 62
+
+
 class _OwnerMap:
     """pc -> owning function, via the program's laid-out extents."""
 
@@ -103,18 +113,19 @@ class _OwnerMap:
         self._ends = [r[1] for r in ranges]
         self._names = [r[2] for r in ranges]
 
-    def owner(self, pc: int) -> str:
+    def span(self, pc: int) -> Tuple[str, int, int]:
+        """``(owner, lo, hi)``: the owner of ``pc`` and the pc range
+        ``[lo, hi)`` around it that shares that owner."""
         starts = self._starts
-        lo, hi = 0, len(starts) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if pc < starts[mid]:
-                hi = mid - 1
-            elif pc >= self._ends[mid]:
-                lo = mid + 1
-            else:
-                return self._names[mid]
-        return UNATTRIBUTED
+        i = bisect.bisect_right(starts, pc) - 1
+        if i >= 0 and pc < self._ends[i]:
+            return self._names[i], starts[i], self._ends[i]
+        lo = self._ends[i] if i >= 0 else 0
+        hi = starts[i + 1] if i + 1 < len(starts) else _PC_LIMIT
+        return UNATTRIBUTED, lo, hi
+
+    def owner(self, pc: int) -> str:
+        return self.span(pc)[0]
 
 
 def _touch(shadow: OrderedDict, capacity: int, block: int) -> bool:
@@ -126,6 +137,13 @@ def _touch(shadow: OrderedDict, capacity: int, block: int) -> bool:
     if len(shadow) > capacity:
         shadow.popitem(last=False)
     return False
+
+
+#: one fetch run of the replay: its i-block, that block's direct-mapped
+#: i-cache index, the owner of its first instruction, and its data accesses
+#: in trace order as ``(access, owner)`` pairs, where ``access`` is a read
+#: block ``b`` or a write block encoded ``-2 - b`` (fastsim's ``dcols``)
+FetchRun = Tuple[int, int, str, List[Tuple[int, str]]]
 
 
 class Attribution:
@@ -161,6 +179,10 @@ class Attribution:
         self._b_n = mem.bcache_size // mem.block_size
         self._wb_depth = mem.write_buffer_depth
         self._owner = _OwnerMap(program)
+        #: the last trace observed, its length and its replay events
+        self._replay: Optional[
+            Tuple[Traceable, int, Tuple[List[FetchRun], Dict[str, int]]]
+        ] = None
         self.reset_state()
         self._clear_recording()
 
@@ -209,6 +231,47 @@ class Attribution:
         bucket.events += 1
         self.total_stall_cycles += cycles
 
+    def _replay_events(self, trace: Traceable) -> Tuple[List[FetchRun], Dict[str, int]]:
+        """``trace`` as fetch runs, plus its instructions per owner.
+
+        A run is a maximal stretch of consecutive entries fetching from one
+        i-block.  Only its first fetch can miss: an i-cache hit changes no
+        state, the fully-associative shadow already holds the block as
+        most recently used, and data accesses touch neither.  So one probe
+        per run replays the fetch stream exactly.  Owners and counts are
+        resolved here once, not on every pass.
+        """
+        cached = self._replay
+        if cached is not None and cached[0] is trace and cached[1] == len(trace):
+            return cached[2]
+        packed = as_packed(trace)
+        iblks, iidxs, dcols = derived_columns(packed, self._block_size, self._i_n)
+        span = self._owner.span
+        runs: List[FetchRun] = []
+        counts: Dict[str, int] = {}
+        fn, lo, hi = UNATTRIBUTED, 0, 0
+        n = 0
+        prev = -1
+        data: List[Tuple[int, str]] = []
+        for pc, blk, idx, access in zip(packed.pcs, iblks, iidxs, dcols):
+            if not lo <= pc < hi:
+                if n:
+                    counts[fn] = counts.get(fn, 0) + n
+                    n = 0
+                fn, lo, hi = span(pc)
+            n += 1
+            if blk != prev:
+                data = []
+                runs.append((blk, idx, fn, data))
+                prev = blk
+            if access != -1:
+                data.append((access, fn))
+        if n:
+            counts[fn] = counts.get(fn, 0) + n
+        events = (runs, counts)
+        self._replay = (trace, len(trace), events)
+        return events
+
     def observe_pass(self, trace: Traceable, *, measure: bool) -> int:
         """Replay one full pass of ``trace`` through the replica.
 
@@ -217,38 +280,40 @@ class Attribution:
         silently (a warm-up).  Returns the pass's total stall cycles either
         way, so callers can check it against the engine's measured delta.
         """
-        if isinstance(trace, PackedTrace):
-            dwrite = FLAG_DWRITE
-            stream: Iterable[Tuple[int, int, bool]] = (
-                (pc, d, bool(fl & dwrite))
-                for pc, d, fl in zip(trace.pcs, trace.daddrs, trace.flags)
-            )
-            length = len(trace)
-        else:
-            stream = (
-                (e.pc, -1 if e.daddr is None else e.daddr, e.dwrite) for e in trace
-            )
-            length = len(trace)
-
-        bs = self._block_size
-        step = self._step
+        runs, counts = self._replay_events(trace)
+        i_n = self._i_n
+        d_n = self._d_n
+        itags = self._itags
+        dtags = self._dtags
+        i_shadow = self._i_shadow
+        d_shadow = self._d_shadow
+        wb_set = self._wb_set
         total = 0
+        # hits charge nothing, so owners are consulted (and warm-ups pass
+        # None, which skips all recording) only on the miss paths
+        for blk, idx, fn, data in runs:
+            shadow_hit = _touch(i_shadow, i_n, blk)
+            if itags[idx] != blk:
+                total += self._fetch_miss(blk, idx, shadow_hit, fn if measure else None)
+            for access, owner in data:
+                if access >= 0:
+                    shadow_hit = _touch(d_shadow, d_n, access)
+                    if dtags[access % d_n] != access:
+                        total += self._read_miss(
+                            access, shadow_hit, owner if measure else None
+                        )
+                elif -2 - access not in wb_set:
+                    total += self._write(-2 - access, owner if measure else None)
         if measure:
-            owner = self._owner.owner
             instructions = self.instructions
-            for pc, daddr, is_write in stream:
-                fn = owner(pc)
-                instructions[fn] = instructions.get(fn, 0) + 1
-                total += step(pc // bs, daddr, is_write, fn)
-            self.total_instructions += length
+            for fn, n in counts.items():
+                instructions[fn] = instructions.get(fn, 0) + n
+            self.total_instructions += len(trace)
             self.measured_passes += 1
-        else:
-            for pc, daddr, is_write in stream:
-                total += step(pc // bs, daddr, is_write, None)
         return total
 
     # ------------------------------------------------------------------ #
-    # the instrumented replica step                                      #
+    # the instrumented replica: miss paths                               #
     # ------------------------------------------------------------------ #
 
     def _classify(self, block: int, ever: set, shadow_hit: bool) -> str:
@@ -256,66 +321,55 @@ class Attribution:
             return COLD
         return CONFLICT if shadow_hit else CAPACITY
 
-    def _step(self, blk: int, daddr: int, is_write: bool, fn: Optional[str]) -> int:
-        """One instruction: a fetch of i-block ``blk`` plus an optional
-        data access.  Mirrors ``MemoryHierarchy.step`` decision for
-        decision; ``fn`` is the owning function (None during warm-ups,
-        which skips all recording)."""
+    def _fetch_miss(
+        self, blk: int, idx: int, shadow_hit: bool, fn: Optional[str]
+    ) -> int:
+        """An i-cache miss on block ``blk`` (at index ``idx``).  Mirrors
+        the fetch half of ``MemoryHierarchy.step`` decision for decision;
+        ``fn`` is the owning function (None during warm-ups, which skips
+        all recording)."""
         mem = self.config.memory
         stall = 0
-
-        # ---- instruction fetch ---------------------------------------- #
         itags = self._itags
-        idx = blk % self._i_n
-        shadow_hit = _touch(self._i_shadow, self._i_n, blk)
-        if itags[idx] != blk:
-            i_ever = self._i_ever
-            kind = self._classify(blk, i_ever, shadow_hit)
-            victim = itags[idx]
-            if fn is not None and victim >= 0:
-                self.conflicts.record(
-                    evictor=self._owner.owner(blk * self._block_size),
-                    victim=self._owner.owner(victim * self._block_size),
-                    set_index=idx,
-                )
-            itags[idx] = blk
-            i_ever.add(blk)
-            nblk = blk + 1
-            if self._sb_block == blk:
-                # stream-buffer hit: the prefetch hid the b-cache access;
-                # an un-hidden main-memory remainder lands here if that
-                # prefetch had missed the b-cache
-                self._sb_block = -1
-                stall += mem.stream_hit_cycles
+        i_ever = self._i_ever
+        kind = self._classify(blk, i_ever, shadow_hit)
+        victim = itags[idx]
+        if fn is not None and victim >= 0:
+            self.conflicts.record(
+                evictor=self._owner.owner(blk * self._block_size),
+                victim=self._owner.owner(victim * self._block_size),
+                set_index=idx,
+            )
+        itags[idx] = blk
+        i_ever.add(blk)
+        nblk = blk + 1
+        if self._sb_block == blk:
+            # stream-buffer hit: the prefetch hid the b-cache access; an
+            # un-hidden main-memory remainder lands here if that prefetch
+            # had missed the b-cache
+            self._sb_block = -1
+            stall += mem.stream_hit_cycles
+            if fn is not None:
+                self._charge(fn, ICACHE, kind, mem.stream_hit_cycles)
+            if self._sb_kind is not None:
+                extra = mem.main_memory_cycles - mem.bcache_hit_cycles
+                stall += extra
                 if fn is not None:
-                    self._charge(fn, ICACHE, kind, mem.stream_hit_cycles)
-                if self._sb_kind is not None:
-                    extra = mem.main_memory_cycles - mem.bcache_hit_cycles
-                    stall += extra
-                    if fn is not None:
-                        self._charge(fn, BCACHE, self._sb_kind, extra)
+                    self._charge(fn, BCACHE, self._sb_kind, extra)
+        else:
+            stall += self._bcache_fetch(blk, fn, kind, ICACHE)
+        # overlapped sequential prefetch of the successor block
+        if itags[nblk % self._i_n] != nblk:
+            btags = self._btags
+            bidx = nblk % self._b_n
+            b_shadow_hit = _touch(self._b_shadow, self._b_n, nblk)
+            if btags[bidx] == nblk:
+                self._sb_kind = None
             else:
-                stall += self._bcache_fetch(blk, fn, kind, ICACHE)
-            # overlapped sequential prefetch of the successor block
-            if itags[nblk % self._i_n] != nblk:
-                btags = self._btags
-                bidx = nblk % self._b_n
-                b_shadow_hit = _touch(self._b_shadow, self._b_n, nblk)
-                if btags[bidx] == nblk:
-                    self._sb_kind = None
-                else:
-                    self._sb_kind = self._classify(nblk, self._b_ever, b_shadow_hit)
-                    btags[bidx] = nblk
-                    self._b_ever.add(nblk)
-                self._sb_block = nblk
-
-        # ---- data access ---------------------------------------------- #
-        if daddr >= 0:
-            dblk = daddr // self._block_size
-            if is_write:
-                stall += self._write(dblk, fn)
-            else:
-                stall += self._read(dblk, fn)
+                self._sb_kind = self._classify(nblk, self._b_ever, b_shadow_hit)
+                btags[bidx] = nblk
+                self._b_ever.add(nblk)
+            self._sb_block = nblk
         return stall
 
     def _bcache_fetch(
@@ -345,14 +399,10 @@ class Attribution:
             self._charge(fn, BCACHE, b_kind, extra)
         return mem.main_memory_cycles
 
-    def _read(self, dblk: int, fn: Optional[str]) -> int:
-        dtags = self._dtags
-        didx = dblk % self._d_n
-        shadow_hit = _touch(self._d_shadow, self._d_n, dblk)
-        if dtags[didx] == dblk:
-            return 0
+    def _read_miss(self, dblk: int, shadow_hit: bool, fn: Optional[str]) -> int:
+        """A d-cache read miss on block ``dblk``."""
         kind = self._classify(dblk, self._d_ever, shadow_hit)
-        dtags[didx] = dblk
+        self._dtags[dblk % self._d_n] = dblk
         self._d_ever.add(dblk)
         if dblk in self._wb_set:
             # store->load forwarding: the pending store must drain first
@@ -363,9 +413,9 @@ class Attribution:
         return self._bcache_fetch(dblk, fn, kind, DCACHE)
 
     def _write(self, wblk: int, fn: Optional[str]) -> int:
+        """A store to block ``wblk``, which no pending entry holds (a
+        store to a buffered block merges: no stall, no state change)."""
         wb_set = self._wb_set
-        if wblk in wb_set:
-            return 0  # merged into a pending entry
         mem = self.config.memory
         wb = self._wb
         if mem.write_coalescing:

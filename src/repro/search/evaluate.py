@@ -130,7 +130,7 @@ class CellEvaluator:
         # layout for the certified lower-bound prefilter
         from repro.analysis.bounds import digest_trace
 
-        self.digest = digest_trace(walk.trace, self.program)
+        self.digest = digest_trace(walk.packed, self.program)
         self.evaluated = 0
 
     # ---- static prefilter ------------------------------------------- #

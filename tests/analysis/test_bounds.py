@@ -26,6 +26,8 @@ from repro.analysis.bounds import (
     TOP,
     BoundsAnalyzer,
     MemState,
+    TraceDigest,
+    _cell_walk,
     bind_digest,
     bounds_from_digest,
     check_cell_bounds,
@@ -39,10 +41,19 @@ from repro.arch.memory import MemoryConfig, MemoryHierarchy
 from repro.core.ir import FunctionBuilder
 from repro.core.program import Program
 from repro.core.walker import EnterEvent, ExitEvent, Walker
+from repro.harness.configs import CONFIG_NAMES
 
 #: miniature geometry: 8-block i/d-caches, 64-block b-cache, so seeded
 #: random streams over a few dozen blocks actually conflict everywhere
 MINI = MemoryConfig(icache_size=256, dcache_size=256, bcache_size=2048)
+
+CELLS = [(stack, config) for stack in ("tcpip", "rpc") for config in CONFIG_NAMES]
+
+
+@pytest.fixture(scope="module")
+def cell_walks():
+    """(program, walk) of every default cell's captured roundtrip."""
+    return {cell: _cell_walk(*cell) for cell in CELLS}
 
 
 # --------------------------------------------------------------------------- #
@@ -192,6 +203,64 @@ class TestDifferential:
         acc = suffix_analyzer.run_pass(joined)
         for concrete in branches:
             assert acc.lower <= concrete <= acc.upper
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dropping_repeated_fetches_keeps_the_bounds(self, seed):
+        """bind_digest drops a fetch of the block the previous fetch
+        touched; bounds over those events equal bounds over every fetch."""
+        trace = _random_trace(random.Random(seed), 200)
+        digest = []
+        for entry in trace:
+            digest.append(("X", "fn", entry.pc, 1))
+            if entry.daddr is not None:
+                kind = "W" if entry.dwrite else "R"
+                digest.append((kind, "fn", entry.daddr // MINI.block_size, 0))
+        bound = bind_digest(
+            TraceDigest(tuple(digest), len(trace)),
+            {"fn": 0},
+            block_bytes=MINI.block_size,
+        )
+        every = _events_of(trace)
+        assert len(bound) < len(every)
+        deduplicated = BoundsAnalyzer(bound, len(trace), memory=MINI).analyze()
+        expanded = BoundsAnalyzer(every, len(trace), memory=MINI).analyze()
+        assert deduplicated == expanded
+
+
+class TestConvergedPass:
+    """analyze() keeps the converged iteration's pass as the steady bound;
+    it must equal one more pass run from the fixed point."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "length, nblocks, ndata",
+        # the short streams include one that joins once (seed 7)
+        [(200, 64, 64), (16, 12, 4)],
+    )
+    def test_random_streams(self, seed, length, nblocks, ndata):
+        trace = _random_trace(random.Random(seed), length, nblocks=nblocks, ndata=ndata)
+        analyzer = BoundsAnalyzer(_events_of(trace), len(trace), memory=MINI)
+        bounds = analyzer.analyze()
+
+        st = MemState()
+        analyzer.run_pass(st)
+        analyzer.run_pass(st)
+        joined, iterations = st, 0
+        while True:
+            nxt = joined.copy()
+            analyzer.run_pass(nxt)
+            merged = joined.join(nxt)
+            if merged == joined:
+                break
+            joined, iterations = merged, iterations + 1
+        steady = analyzer.run_pass(joined.copy())
+
+        got = bounds.steady
+        assert (got.lower_stalls, got.upper_stalls) == (steady.lower, steady.upper)
+        assert got.by_function == {
+            fn: tuple(pair) for fn, pair in steady.by_function.items()
+        }
+        assert bounds.persistence_iterations == iterations
 
 
 # --------------------------------------------------------------------------- #
@@ -348,6 +417,11 @@ class TestCells:
         bounds, findings = check_cell_bounds(stack, config, engine="fast")
         assert findings == []
         assert bounds.cold.exact  # cold starts empty: slack = model bug
+
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    def test_packed_and_entry_digests_agree(self, cell_walks, cell):
+        program, walk = cell_walks[cell]
+        assert digest_trace(walk.packed, program) == digest_trace(walk.trace, program)
 
     def test_mutated_layouts_stay_bounded(self):
         from repro.search.artifact import pack_genome

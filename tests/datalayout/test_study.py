@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.arch.fastsim import FastMachine
+from repro.arch.simulator import AlphaConfig
+from repro.core.fastwalk import FastWalker
 from repro.datalayout import (
     DATA_TECHNIQUES,
     TECHNIQUE_NAMES,
+    apply_data_layout,
     datalayout_cell,
     run_datalayout_study,
 )
+from repro.harness.configs import build_configured_program
+from repro.harness.experiment import Experiment, _clone_events
+from repro.obs import Attribution
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +87,60 @@ class TestStudySurface:
             floor = study.wb_floor(stack)
             cell = study.cell(stack, "STD", "coalesce")
             assert cell.wb_steady < floor
+
+
+class TestAttributionPasses:
+    """The study attributes the passes the engines measure: cold, one
+    warm-up, then steady (``profile_cell``'s structure)."""
+
+    @pytest.fixture
+    def sinks(self, monkeypatch):
+        """Every sink observed: its passes' measure flags and its reports."""
+        seen = {}
+        observe, harvest = Attribution.observe_pass, Attribution.harvest
+
+        def observe_pass(self, trace, *, measure):
+            seen.setdefault(self, ([], []))[0].append(measure)
+            return observe(self, trace, measure=measure)
+
+        def keep_report(self, label=""):
+            report = harvest(self, label)
+            seen[self][1].append(report)
+            return report
+
+        monkeypatch.setattr(Attribution, "observe_pass", observe_pass)
+        monkeypatch.setattr(Attribution, "harvest", keep_report)
+        return seen
+
+    def test_every_cell_runs_three_passes(self, sinks):
+        study = run_datalayout_study(techniques=("all",), configs=("STD",))
+        assert len(sinks) == len(study.cells)
+        for measures, _reports in sinks.values():
+            assert measures == [True, False, True]
+
+    @pytest.mark.parametrize("name", ["baseline", "all"])
+    def test_steady_buckets_match_a_machine_harvest(self, sinks, name):
+        technique = DATA_TECHNIQUES[name]
+        datalayout_cell("tcpip", "STD", technique)
+        [(_measures, (_cold, steady))] = sinks.values()
+
+        build = build_configured_program("tcpip", "STD", None)
+        apply_data_layout(
+            build.program,
+            pack=technique.pack,
+            split=technique.split,
+            block_size=technique.memory().block_size,
+        )
+        events, data_env = Experiment("tcpip", "STD").capture_roundtrip(42)
+        walk = FastWalker(build.program, dict(data_env)).walk(_clone_events(events))
+        config = AlphaConfig(memory=technique.memory())
+        sink = Attribution(build.program, config=config)
+        machine = FastMachine(config, sink=sink)
+        machine.run(walk.packed)
+        sink.harvest("cold")
+        machine.warm_up(walk.packed)
+        machine.run(walk.packed)
+        expected = sink.harvest("steady")
+        assert steady.buckets == expected.buckets
+        assert steady.instructions == expected.instructions
+        assert steady.conflicts.counts == expected.conflicts.counts

@@ -11,7 +11,11 @@ the JSON form round-trips.
 import pytest
 
 from repro.arch.fastsim import FastMachine
+from repro.arch.isa import Op
+from repro.arch.packed import OP_CODES, PackedTrace
 from repro.arch.simulator import MachineSimulator
+from repro.core.ir import FunctionBuilder
+from repro.core.program import Program
 from repro.core.walker import Walker
 from repro.harness.configs import CONFIG_NAMES, build_configured_program_cached
 from repro.harness.experiment import Experiment
@@ -148,6 +152,35 @@ def test_aggregations_are_consistent(walks):
     assert sum(r["stall_cycles"] for r in report.by_function().values()) == total
     assert sum(report.by_cache().values()) == total
     assert sum(report.instructions.values()) == report.total_instructions
+
+
+def test_a_fetch_run_charges_each_access_to_its_issuer():
+    """Functions are 4-byte aligned, not block aligned, so one fetch run
+    can cross into the next function: the run's fetch is charged to its
+    first instruction's function, each data access to its own."""
+    program = Program()
+    for name in ("f", "g"):
+        fb = FunctionBuilder(name, saves=0)
+        fb.block("entry").alu(1)
+        fb.ret()
+        program.add(fb.build())
+    # f spans [+16, +48) and g starts at +48: mid-block, right after f
+    program.layout(lambda prog: {"f": prog.text_base + 16, "g": prog.text_base + 48})
+    g = program.address_of("g")
+    trace = PackedTrace()
+    trace.append(g - 8, OP_CODES[Op.ALU])
+    trace.append(g - 4, OP_CODES[Op.ALU])
+    trace.append(g, OP_CODES[Op.LOAD], daddr=0x8000)
+    sink = Attribution(program)
+    sink.observe_pass(trace, measure=True)
+    report = sink.harvest()
+    assert {(fn, cache) for (_l, fn, cache, _k) in report.buckets} == {
+        ("f", "icache"),
+        ("f", "bcache"),
+        ("g", "dcache"),
+        ("g", "bcache"),
+    }
+    assert report.instructions == {"f": 2, "g": 1}
 
 
 def test_desynced_sink_raises_mismatch(walks):
