@@ -21,20 +21,20 @@ The package rebuilds the paper's entire experimental system in Python:
 * :mod:`repro.search` — profile-guided layout search: candidate
   generators, a statically-prefiltered batched evaluator, and a seeded
   search loop that beats the paper's hand-designed layouts,
-* :mod:`repro.api` — the unified facade: one :class:`~repro.api.RunSpec`
-  type and three verbs (``run`` / ``sweep`` / ``search``), with all
+* :mod:`repro.api` — the unified facade: nine verbs (``run``, ``sweep``,
+  ``search``, ``traffic``, ``resilience``, ``analyze``, ``profile``,
+  ``faults``, ``datalayout``), each taking one frozen spec, with all
   environment configuration resolved once through
   :class:`~repro.api.Settings`.
 
 Quick start::
 
-    from repro.api import RunSpec, run, sweep, search
-    from repro.harness.reporting import render_table4
+    from repro.api import RunSpec, SearchSpec, run, sweep, search
 
     result = run(RunSpec("tcpip", "CLO", samples=3))
     table = sweep([RunSpec("tcpip", c, samples=3)
                    for c in ("STD", "OUT", "CLO", "BAD", "PIN", "ALL")])
-    found = search(RunSpec("tcpip", "CLO"), budget=64, seed=0)
+    found = search(SearchSpec(RunSpec("tcpip", "CLO"), budget=64, seed=0))
 
 or run ``python -m repro`` to regenerate every table at once.
 """

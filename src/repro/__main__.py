@@ -346,7 +346,7 @@ def traffic_main(argv=None) -> int:
                         help="flow-map caching schemes: none, one-entry, "
                              "lru:K, direct:N, assoc:SxW "
                              "(default: the full taxonomy)")
-    parser.add_argument("--engine", choices=["fast", "guarded"],
+    parser.add_argument("--engine", choices=["fast"],
                         default=None,
                         help="streaming engine (default: $REPRO_SIM_ENGINE "
                              "or fast; tables are bit-identical across "
@@ -450,7 +450,7 @@ def resilience_main(argv=None) -> int:
     parser.add_argument("--policy", choices=list(POLICIES),
                         default="drop-tail",
                         help="ingress admission policy")
-    parser.add_argument("--engine", choices=["fast", "guarded"],
+    parser.add_argument("--engine", choices=["fast"],
                         default=None,
                         help="streaming engine (default: $REPRO_SIM_ENGINE "
                              "or fast; studies are bit-identical across "

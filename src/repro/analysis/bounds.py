@@ -856,11 +856,10 @@ def check_cell_bounds(
 ) -> Tuple[LatencyBounds, List[Finding]]:
     """Compute one cell's bounds and validate them against a simulation.
 
-    ``engine`` picks the measuring engine (``fast`` or ``reference``;
-    ``guarded`` measures via fast).  Returns the bounds plus any
-    invariant-violation findings — an empty list is the machine-checked
-    claim ``lower <= simulated <= upper`` for both the cold and the
-    steady measurement.
+    ``engine`` picks the measuring engine (``fast`` or ``reference``).
+    Returns the bounds plus any invariant-violation findings — an empty
+    list is the machine-checked claim ``lower <= simulated <= upper`` for
+    both the cold and the steady measurement.
     """
     from repro.arch.simcache import simulate_cold_and_steady_cached
     from repro.arch.simulator import AlphaConfig, MachineSimulator

@@ -21,9 +21,8 @@ protocol (``.to_json()``, ``.render()``, ``.check()``)::
 
 * :func:`run` measures one :class:`RunSpec` cell (the legacy
   ``Experiment`` path, bit-identically),
-* :func:`sweep` measures many specs, automatically using the parallel
-  self-healing sweep executor when the specs form a plain configuration
-  sweep of one stack,
+* :func:`sweep` measures many specs as (spec, sample) cells, serially or
+  on the self-healing process pool, each result equal to :func:`run`,
 * :func:`search` runs the profile-guided layout search of
   :mod:`repro.search` over the spec's cell and returns the best layout
   found as a replayable artifact,
@@ -44,9 +43,9 @@ protocol (``.to_json()``, ``.render()``, ``.check()``)::
   :mod:`repro.datalayout` — store behaviours and data-layout transforms
   over all 12 cells, attribution- and bounds-checked.
 
-The pre-spec keyword forms (``api.traffic(TrafficSpec, schemes=...)``,
-``api.analyze(RunSpec, bounds=True)``, ...) survive as thin shims that
-emit :class:`DeprecationWarning` and forward to the spec form.
+``sweep``, ``search`` and ``analyze`` also accept a bare
+:class:`RunSpec` (a sequence of them for ``sweep``) as shorthand for the
+spec with default knobs.
 
 Environment configuration (``REPRO_SIM_ENGINE``, ``REPRO_VERIFY_IR``,
 ``REPRO_CHAOS``) is resolved once per call through
@@ -56,16 +55,13 @@ Environment configuration (``REPRO_SIM_ENGINE``, ``REPRO_VERIFY_IR``,
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     TYPE_CHECKING,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
     Union,
-    cast,
 )
 
 from repro.api.result import FaultStudy, Result, SweepResult
@@ -86,14 +82,13 @@ from repro.api.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.analysis import CellAnalysis
-    from repro.core.layout import LayoutStrategy
     from repro.datalayout import DatalayoutStudy
     from repro.harness.experiment import ExperimentResult
     from repro.harness.parallel import SweepReport
     from repro.harness.profile import CellProfile
-    from repro.resilience import OverloadSpec, ResilienceStudy
+    from repro.resilience import ResilienceStudy
     from repro.search.driver import SearchResult
-    from repro.traffic import TrafficSpec, TrafficStudy
+    from repro.traffic import TrafficStudy
 
 __all__ = [
     "ENGINES",
@@ -140,18 +135,6 @@ FACADE_VERBS: Tuple[str, ...] = (
     "datalayout",
 )
 
-#: sentinel distinguishing "not passed" from an explicit None/False
-_UNSET: object = object()
-
-
-def _deprecated(verb: str, spec_type: str, what: Sequence[str]) -> None:
-    warnings.warn(
-        f"api.{verb}: {', '.join(what)} is deprecated; "
-        f"pass a {spec_type} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def settings_for(spec: RunSpec, settings: Optional[Settings] = None) -> Settings:
     """The effective settings of one spec: overrides beat the environment."""
@@ -166,22 +149,6 @@ def _study_settings(
     return base.with_engine(engine)
 
 
-def _layout_strategy(layout: Optional[object]) -> Optional[LayoutStrategy]:
-    """A spec's layout override as a ``LayoutStrategy`` callable."""
-    if layout is None:
-        return None
-    strategy = getattr(layout, "strategy", None)
-    if callable(strategy):  # a LayoutArtifact
-        built: LayoutStrategy = strategy()
-        return built
-    if callable(layout):
-        return cast("LayoutStrategy", layout)
-    raise TypeError(
-        f"RunSpec.layout must be a LayoutArtifact or a LayoutStrategy "
-        f"callable, got {type(layout).__name__}"
-    )
-
-
 def run(
     spec: RunSpec, *, settings: Optional[Settings] = None
 ) -> ExperimentResult:
@@ -193,173 +160,58 @@ def run(
     """
     from repro.harness.experiment import Experiment
 
-    exp = Experiment(
-        spec.stack,
-        spec.config,
-        spec.options,
-        base_seed=spec.seed,
-        fault_plan=spec.fault_plan,
-        guard_stride=spec.guard_stride,
-        on_divergence=spec.on_divergence,
-        server_processing_us=spec.server_processing_us,
-        settings=settings_for(spec, settings),
-        layout=_layout_strategy(spec.layout),
-    )
+    exp = Experiment.from_spec(spec, settings_for(spec, settings))
     result: ExperimentResult = exp.run(samples=spec.samples)
     return result
-
-
-def _plain_config_sweep(specs: Sequence[RunSpec]) -> bool:
-    """True when ``specs`` is exactly one stack's configuration sweep —
-    the shape the parallel executor and its memoized builds optimize."""
-    base = specs[0]
-    configs = [s.config for s in specs]
-    return (
-        len(set(configs)) == len(configs)
-        and base.seed == 42  # the executor's fixed seed schedule
-        and base.layout is None
-        and base.guard_stride == 1
-        and base.on_divergence == "fallback"
-        and base.server_processing_us is None
-        and all(
-            s.stack == base.stack
-            and s.options == base.options
-            and s.engine == base.engine
-            and s.samples == base.samples
-            and s.seed == base.seed
-            and s.fault_plan is base.fault_plan
-            and s.verify_ir == base.verify_ir
-            and s.layout is None
-            and s.guard_stride == base.guard_stride
-            and s.on_divergence == base.on_divergence
-            and s.server_processing_us is None
-            for s in specs
-        )
-    )
 
 
 def sweep(
     spec: Union[SweepSpec, Sequence[RunSpec]],
     *,
     settings: Optional[Settings] = None,
-    parallel: object = _UNSET,
-    max_workers: object = _UNSET,
     report: Optional[SweepReport] = None,
 ) -> SweepResult:
     """Measure many specs; returns a :class:`SweepResult` in spec order.
 
-    When the runs form a plain configuration sweep of one stack (same
-    stack/options/engine/samples, distinct configs, default seeds), the
-    batch routes through ``run_all_configs`` — i.e. the self-healing
-    parallel executor with memoized builds and captures.  Anything more
-    heterogeneous (custom layouts, per-spec seeds) runs spec by spec.
-    A bare sequence of :class:`RunSpec` is accepted as shorthand for
-    ``SweepSpec(runs)``; the ``parallel``/``max_workers`` keywords are
-    deprecated in favour of the spec fields.
+    Runs the specs as (spec, sample) cells through
+    :func:`repro.harness.parallel.run_sweep` — serially, or on the
+    self-healing process pool per ``SweepSpec.parallel`` — and each
+    result equals ``run(spec)`` sample for sample (pooled samples carry
+    no event list).  A bare sequence of :class:`RunSpec` is shorthand for
+    ``SweepSpec(runs)``.  Pass a fresh
+    :class:`~repro.harness.parallel.SweepReport` as ``report`` to observe
+    incidents, retries, serial heals and guard divergences.
     """
-    if isinstance(spec, SweepSpec):
-        resolved = spec
-    else:
-        resolved = SweepSpec(runs=tuple(spec))
-    legacy = [
-        name
-        for name, value in (("parallel", parallel), ("max_workers", max_workers))
-        if value is not _UNSET
-    ]
-    if legacy:
-        _deprecated("sweep", "SweepSpec", [f"keyword {n!r}" for n in legacy])
-        resolved = SweepSpec(
-            runs=resolved.runs,
-            parallel=(
-                cast(Optional[bool], parallel)
-                if parallel is not _UNSET
-                else resolved.parallel
-            ),
-            max_workers=(
-                cast(Optional[int], max_workers)
-                if max_workers is not _UNSET
-                else resolved.max_workers
-            ),
-        )
-    runs = resolved.runs
-    if not runs:
-        return SweepResult()
-    if _plain_config_sweep(runs):
-        from repro.harness.experiment import run_all_configs
+    from repro.harness.parallel import run_sweep
 
-        base = runs[0]
-        results = run_all_configs(
-            base.stack,
-            tuple(s.config for s in runs),
-            samples=base.samples,
-            opts=base.options,
+    resolved = spec if isinstance(spec, SweepSpec) else SweepSpec(tuple(spec))
+    return SweepResult(
+        run_sweep(
+            resolved.runs,
+            settings=settings,
             parallel=resolved.parallel,
             max_workers=resolved.max_workers,
-            fault_plan=base.fault_plan,
             report=report,
-            settings=settings_for(base, settings),
         )
-        return SweepResult(results[s.config] for s in runs)
-    return SweepResult(run(s, settings=settings) for s in runs)
+    )
 
 
 def search(
     spec: Union[SearchSpec, RunSpec],
-    budget: object = _UNSET,
     *,
-    seed: object = _UNSET,
     settings: Optional[Settings] = None,
-    parallel: object = _UNSET,
-    max_workers: object = _UNSET,
-    micro_baseline: object = _UNSET,
 ) -> SearchResult:
     """Profile-guided layout search over the spec's (stack, config) cell.
 
     Returns a :class:`repro.search.driver.SearchResult` whose
     ``artifact`` replays bit-identically through :func:`run` via
     ``RunSpec(..., layout=artifact)``.  Equal (spec, budget, seed)
-    triples return bit-identical results on either engine.  Passing a
-    bare :class:`RunSpec` plus search keywords is deprecated — fold them
-    into a :class:`SearchSpec`.
+    triples return bit-identical results on either engine.  A bare
+    :class:`RunSpec` searches with the :class:`SearchSpec` defaults.
     """
     from repro.search.driver import search_cell
 
-    legacy = [
-        name
-        for name, value in (
-            ("budget", budget),
-            ("seed", seed),
-            ("parallel", parallel),
-            ("max_workers", max_workers),
-            ("micro_baseline", micro_baseline),
-        )
-        if value is not _UNSET
-    ]
-    if isinstance(spec, SearchSpec):
-        if legacy:
-            raise TypeError(
-                f"api.search: a SearchSpec already carries "
-                f"{', '.join(legacy)}; pass them in the spec only"
-            )
-        resolved = spec
-    else:
-        if legacy:
-            _deprecated(
-                "search", "SearchSpec", [f"keyword {n!r}" for n in legacy]
-            )
-        resolved = SearchSpec(
-            run=spec,
-            budget=cast(Optional[int], None if budget is _UNSET else budget),
-            seed=cast(int, 0 if seed is _UNSET else seed),
-            parallel=cast(bool, False if parallel is _UNSET else parallel),
-            max_workers=cast(
-                Optional[int], None if max_workers is _UNSET else max_workers
-            ),
-            micro_baseline=cast(
-                bool, False if micro_baseline is _UNSET else micro_baseline
-            ),
-        )
-
+    resolved = spec if isinstance(spec, SearchSpec) else SearchSpec(run=spec)
     kwargs: Dict[str, int] = {}
     if resolved.budget is not None:
         kwargs["budget"] = resolved.budget
@@ -378,12 +230,8 @@ def search(
 
 
 def traffic(
-    spec: Union[TrafficStudySpec, "TrafficSpec", None] = None,
+    spec: Optional[TrafficStudySpec] = None,
     *,
-    schemes: Optional[Sequence[str]] = None,
-    mixes: Optional[Sequence[str]] = None,
-    flow_counts: Optional[Sequence[int]] = None,
-    engine: Optional[str] = None,
     settings: Optional[Settings] = None,
 ) -> TrafficStudy:
     """Demux-cache traffic study: stream millions of packets per point.
@@ -393,43 +241,13 @@ def traffic(
     :class:`repro.traffic.TrafficStudy` carrying per-scheme flow-map hit
     rates and cold/steady cycle totals.  The transition-memoized stream
     is exact, so equal specs produce bit-identical studies (a CI golden
-    gate holds this); ``guarded`` streams on ``fast``, and the
-    ``reference`` engine has no packed-segment pass and is refused.
-
-    Passing a bare :class:`repro.traffic.TrafficSpec` and/or the axis
-    keywords is deprecated — use :class:`TrafficStudySpec`.
+    gate holds this); the ``reference`` engine has no packed-segment
+    pass and is refused.
     """
-    from repro.traffic import run_traffic_study
+    from repro.traffic import TrafficSpec, run_traffic_study
 
-    if isinstance(spec, TrafficStudySpec):
-        resolved = spec
-    else:
-        legacy: List[str] = []
-        if spec is not None:
-            legacy.append("a bare TrafficSpec stream")
-        legacy.extend(
-            f"keyword {name!r}"
-            for name, value in (
-                ("schemes", schemes),
-                ("mixes", mixes),
-                ("flow_counts", flow_counts),
-                ("engine", engine),
-            )
-            if value is not None
-        )
-        if legacy:
-            _deprecated("traffic", "TrafficStudySpec", legacy)
-        resolved = TrafficStudySpec(
-            traffic=spec,
-            schemes=tuple(schemes) if schemes is not None else None,
-            mixes=tuple(mixes) if mixes is not None else None,
-            flow_counts=tuple(flow_counts) if flow_counts is not None else None,
-            engine=engine,
-        )
-
-    from repro.traffic import TrafficSpec as _TrafficSpec
-
-    stream = resolved.traffic if resolved.traffic is not None else _TrafficSpec()
+    resolved = spec if spec is not None else TrafficStudySpec()
+    stream = resolved.traffic if resolved.traffic is not None else TrafficSpec()
     base = _study_settings(resolved.engine, settings)
     kwargs: Dict[str, Tuple[str, ...]] = {}
     if resolved.schemes is not None:
@@ -445,17 +263,8 @@ def traffic(
 
 
 def resilience(
-    spec: Union[ResilienceStudySpec, "TrafficSpec", None] = None,
+    spec: Optional[ResilienceStudySpec] = None,
     *,
-    schemes: Optional[Sequence[str]] = None,
-    mixes: Optional[Sequence[str]] = None,
-    fault_rates: Optional[Sequence[float]] = None,
-    profile_seed: object = _UNSET,
-    scope: object = _UNSET,
-    overload: Optional[OverloadSpec] = None,
-    engine: Optional[str] = None,
-    parallel: object = _UNSET,
-    max_workers: object = _UNSET,
     settings: Optional[Settings] = None,
 ) -> ResilienceStudy:
     """Faulted-traffic resilience study: error paths under offered load.
@@ -468,63 +277,12 @@ def resilience(
     the saturation point.  Rate 0 is bit-identical to a pristine
     :func:`traffic` point, and equal inputs produce bit-identical
     studies (a CI golden gate holds this).
-
-    Passing a bare :class:`repro.traffic.TrafficSpec` and/or the sweep
-    keywords is deprecated — use :class:`ResilienceStudySpec`.
     """
     from repro.resilience import run_resilience_study
+    from repro.traffic import TrafficSpec
 
-    if isinstance(spec, ResilienceStudySpec):
-        resolved = spec
-    else:
-        legacy: List[str] = []
-        if spec is not None:
-            legacy.append("a bare TrafficSpec stream")
-        legacy.extend(
-            f"keyword {name!r}"
-            for name, value in (
-                ("schemes", schemes),
-                ("mixes", mixes),
-                ("fault_rates", fault_rates),
-                ("overload", overload),
-                ("engine", engine),
-            )
-            if value is not None
-        )
-        legacy.extend(
-            f"keyword {name!r}"
-            for name, value in (
-                ("profile_seed", profile_seed),
-                ("scope", scope),
-                ("parallel", parallel),
-                ("max_workers", max_workers),
-            )
-            if value is not _UNSET
-        )
-        if legacy:
-            _deprecated("resilience", "ResilienceStudySpec", legacy)
-        resolved = ResilienceStudySpec(
-            traffic=spec,
-            schemes=tuple(schemes) if schemes is not None else None,
-            mixes=tuple(mixes) if mixes is not None else None,
-            fault_rates=(
-                tuple(fault_rates) if fault_rates is not None else None
-            ),
-            profile_seed=cast(
-                int, 0 if profile_seed is _UNSET else profile_seed
-            ),
-            scope=cast(str, "all" if scope is _UNSET else scope),
-            overload=overload,
-            parallel=cast(bool, False if parallel is _UNSET else parallel),
-            max_workers=cast(
-                Optional[int], None if max_workers is _UNSET else max_workers
-            ),
-            engine=engine,
-        )
-
-    from repro.traffic import TrafficSpec as _TrafficSpec
-
-    stream = resolved.traffic if resolved.traffic is not None else _TrafficSpec()
+    resolved = spec if spec is not None else ResilienceStudySpec()
+    stream = resolved.traffic if resolved.traffic is not None else TrafficSpec()
     base = _study_settings(resolved.engine, settings)
     kwargs: Dict[str, object] = {}
     if resolved.schemes is not None:
@@ -549,8 +307,6 @@ def analyze(
     spec: Union[AnalyzeSpec, RunSpec],
     *,
     settings: Optional[Settings] = None,
-    check_conflicts: object = _UNSET,
-    bounds: object = _UNSET,
 ) -> CellAnalysis:
     """Static analysis of the spec's (stack, configuration) cell.
 
@@ -562,36 +318,11 @@ def analyze(
     checks ``lower <= simulated <= upper`` against the resolved engine.
     Returns a :class:`repro.analysis.CellAnalysis`; ``report.ok`` is the
     clean/dirty verdict and ``report.to_json()`` the structured form.
-    The pass-toggle keywords are deprecated — use :class:`AnalyzeSpec`.
+    A bare :class:`RunSpec` runs with the :class:`AnalyzeSpec` defaults.
     """
     from repro.analysis import analyze_cell
 
-    legacy = [
-        f"keyword {name!r}"
-        for name, value in (
-            ("check_conflicts", check_conflicts),
-            ("bounds", bounds),
-        )
-        if value is not _UNSET
-    ]
-    if isinstance(spec, AnalyzeSpec):
-        if legacy:
-            raise TypeError(
-                f"api.analyze: an AnalyzeSpec already carries "
-                f"{', '.join(legacy)}; pass them in the spec only"
-            )
-        resolved = spec
-    else:
-        if legacy:
-            _deprecated("analyze", "AnalyzeSpec", legacy)
-        resolved = AnalyzeSpec(
-            run=spec,
-            check_conflicts=cast(
-                bool, True if check_conflicts is _UNSET else check_conflicts
-            ),
-            bounds=cast(bool, False if bounds is _UNSET else bounds),
-        )
-
+    resolved = spec if isinstance(spec, AnalyzeSpec) else AnalyzeSpec(run=spec)
     effective = settings_for(resolved.run, settings)
     return analyze_cell(
         resolved.run.stack,

@@ -1,16 +1,12 @@
 """Run-wide settings, resolved from the environment exactly once.
 
-The harness historically read three environment variables at scattered
-call sites: ``REPRO_SIM_ENGINE`` (engine selection, in
-``resolve_engine``), ``REPRO_VERIFY_IR`` (the per-stage IR verifier, in
-``verify_ir_enabled``) and ``REPRO_CHAOS`` (worker sabotage rules, in
-``repro.faults.chaos``).  :class:`Settings` consolidates all three into
-one frozen object: :meth:`Settings.from_env` resolves and validates them
-in one place, and every consumer receives the resolved object explicitly
-instead of consulting ``os.environ`` itself.  The environment variables
-stay honoured — ``from_env`` is the single reader — and the legacy
-``resolve_engine`` / ``verify_ir_enabled`` imports keep working through
-deprecation shims in :mod:`repro.harness.experiment`.
+A run reads three environment variables: ``REPRO_SIM_ENGINE`` (engine
+selection), ``REPRO_VERIFY_IR`` (the per-stage IR verifier) and
+``REPRO_CHAOS`` (worker sabotage rules, :mod:`repro.faults.chaos`).
+:class:`Settings` holds all three in one frozen object:
+:meth:`Settings.from_env` is their single reader, resolving and
+validating them in one place, and every consumer receives the resolved
+object explicitly instead of consulting ``os.environ`` itself.
 """
 
 from __future__ import annotations
@@ -24,10 +20,10 @@ from repro.faults.chaos import ChaosRule, parse_rules
 
 #: simulation engines: "fast" = packed traces + template walks + fused
 #: kernel + result caches (bit-identical results); "reference" = the
-#: original object-per-instruction oracle path; "guarded" = fast results
-#: cross-checked against the reference path sample by sample, degrading
-#: to "reference" on divergence (see :mod:`repro.faults.guard`)
-ENGINES = ("fast", "reference", "guarded")
+#: original object-per-instruction oracle path.  Cross-checking fast
+#: against reference is a per-run stride, not an engine
+#: (``RunSpec.guard_stride``, see :mod:`repro.faults.guard`).
+ENGINES = ("fast", "reference")
 
 ENGINE_ENV = "REPRO_SIM_ENGINE"
 VERIFY_IR_ENV = "REPRO_VERIFY_IR"
@@ -75,9 +71,8 @@ class Settings:
     ) -> "Settings":
         """Resolve settings from ``environ`` (default: ``os.environ``).
 
-        Explicit keyword arguments beat the environment, mirroring the
-        old ``resolve_engine(engine)`` precedence; the environment beats
-        the defaults.
+        Explicit keyword arguments beat the environment; the environment
+        beats the defaults.
         """
         env = os.environ if environ is None else environ
         if engine is None:

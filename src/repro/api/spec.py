@@ -1,22 +1,16 @@
 """The one way to say "run this": frozen, validated specifications.
 
-Before :class:`RunSpec` existed the same measurement could be requested
-through ``Experiment``'s ten-keyword constructor, ``run_all_configs``'s
-keyword soup, ``run_parallel_sweep``, or a CLI subcommand — each with its
-own defaulting rules.  A ``RunSpec`` names the complete recipe once
+A :class:`RunSpec` names the complete recipe of one measurement once
 (stack, config, options, engine, samples, seed, fault plan, verifier,
-optional layout override) and every front door — :func:`repro.api.run`,
-:func:`repro.api.sweep`, :func:`repro.api.search`, the ``python -m
-repro`` subcommands — consumes it.
+guard stride, optional layout override) and every front door —
+:func:`repro.api.run`, :func:`repro.api.sweep`, :func:`repro.api.search`,
+the ``python -m repro`` subcommands — consumes it.
 
-The same discipline covers every other facade verb: the former keyword
-piles of :func:`repro.api.traffic`, :func:`repro.api.resilience`,
-:func:`repro.api.analyze` and friends are promoted into the frozen spec
-dataclasses below (:class:`SweepSpec`, :class:`SearchSpec`,
-:class:`AnalyzeSpec`, :class:`ProfileSpec`, :class:`FaultsSpec`,
-:class:`TrafficStudySpec`, :class:`ResilienceStudySpec`,
-:class:`DatalayoutSpec`), so each verb takes exactly one spec and the
-legacy keyword forms survive only as deprecated shims.
+The same discipline covers every other facade verb: each takes exactly
+one of the frozen spec dataclasses below (:class:`SweepSpec`,
+:class:`SearchSpec`, :class:`AnalyzeSpec`, :class:`ProfileSpec`,
+:class:`FaultsSpec`, :class:`TrafficStudySpec`,
+:class:`ResilienceStudySpec`, :class:`DatalayoutSpec`).
 """
 
 from __future__ import annotations
@@ -48,7 +42,10 @@ class RunSpec:
     settings flag.  ``layout`` optionally replaces the configuration's
     default layout stage with a :class:`repro.search.artifact.
     LayoutArtifact` (or any ``LayoutStrategy`` callable) — this is how a
-    searched layout is replayed bit-identically.
+    searched layout is replayed bit-identically.  ``guard_stride`` N >= 1
+    replays every Nth sample through the reference path while the fast
+    engine drives the run (0, the default, is off); ``on_divergence``
+    picks what a mismatch does (see :mod:`repro.faults.guard`).
     """
 
     stack: str = "tcpip"
@@ -61,7 +58,7 @@ class RunSpec:
     verify_ir: Optional[bool] = None
     #: LayoutArtifact, LayoutStrategy callable, or None for the default
     layout: Optional[object] = field(default=None, compare=False)
-    guard_stride: int = 1
+    guard_stride: int = 0
     on_divergence: str = "fallback"
     server_processing_us: Optional[float] = None
 
@@ -85,10 +82,9 @@ class RunSpec:
 class SweepSpec:
     """Many measurements plus how to schedule them.
 
-    ``parallel=None`` lets the executor decide (process pool when the
-    batch is worth it); the knobs only apply when the runs form a plain
-    configuration sweep of one stack — anything more heterogeneous runs
-    spec by spec.
+    Any mix of runs is one batch of (run, sample) cells.
+    ``parallel=None`` pools the cells when the host has more than one
+    core and the batch more than one cell; ``False`` runs serially.
     """
 
     runs: Tuple[RunSpec, ...] = ()

@@ -60,7 +60,7 @@ class SimResult:
         return self.cycles / clock_mhz
 
     def headline(self) -> dict:
-        """The comparison-grade metrics as a plain dict (guarded engine,
+        """The comparison-grade metrics as a plain dict (engine guard,
         JSON reports)."""
         return {
             "instructions": self.instructions,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.settings import validate_engine
 from repro.datalayout.techniques import DATA_TECHNIQUES, DataTechnique
 from repro.datalayout.transforms import LayoutReport, apply_data_layout
 
@@ -42,13 +43,6 @@ __all__ = [
 ]
 
 STUDY_STACKS: Tuple[str, ...] = ("tcpip", "rpc")
-
-#: engines the study accepts; the guarded engine measures via fast
-_PRIMARY = {
-    "fast": "fast",
-    "guarded": "fast",
-    "reference": "reference",
-}
 
 
 @dataclass(frozen=True)
@@ -331,13 +325,6 @@ def _measure_cell(
     )
 
 
-def _primary(engine: str) -> str:
-    primary = _PRIMARY.get(engine)
-    if primary is None:
-        raise ValueError(f"unknown engine {engine!r}")
-    return primary
-
-
 def datalayout_cell(
     stack: str,
     config: str,
@@ -348,9 +335,9 @@ def datalayout_cell(
     opts: Optional[Section2Options] = None,
 ) -> DatalayoutCell:
     """Measure one grid cell under one data technique."""
-    primary = _primary(engine)
+    validate_engine(engine)
     image = _image(stack, config, technique, seed=seed, opts=opts)
-    return _measure_cell(image, stack, config, technique, primary)
+    return _measure_cell(image, stack, config, technique, engine)
 
 
 def run_datalayout_study(
@@ -374,7 +361,7 @@ def run_datalayout_study(
     """
     from repro.harness.configs import CONFIG_NAMES
 
-    primary = _primary(engine)
+    validate_engine(engine)
     names = tuple(techniques if techniques is not None else DATA_TECHNIQUES)
     unknown = [n for n in names if n not in DATA_TECHNIQUES]
     if unknown:
@@ -395,7 +382,7 @@ def run_datalayout_study(
                 image = _image(stack, config, sharing[0], seed=seed, opts=opts)
                 for technique in sharing:
                     measured[(technique.name, stack, config)] = _measure_cell(
-                        image, stack, config, technique, primary
+                        image, stack, config, technique, engine
                     )
                 del image  # released before the next is built: one alive at a time
 

@@ -8,7 +8,7 @@ Three layers share this package:
 * **harness chaos** — :mod:`repro.faults.chaos` makes sweep workers
   crash/hang on demand so the self-healing sweep machinery stays honest;
 * **engine guarding** — :mod:`repro.faults.guard` detects fast/reference
-  divergence for the ``guarded`` engine mode.
+  divergence on runs with a ``guard_stride``.
 """
 
 from repro.faults.chaos import ChaosCrash, ChaosRule, ChaosSpecError, parse_rules

@@ -1,7 +1,7 @@
 """Harness-level chaos injection: crashing, hanging and lying workers.
 
 The resilience machinery in :mod:`repro.harness.parallel` (retries,
-timeouts, serial fallback) and the guarded engine's divergence detection
+timeouts, serial fallback) and the engine guard's divergence detection
 are only trustworthy if they are exercised, so this module provides the
 failure half: a deterministic, environment-driven way to make sweep
 workers crash, hang, or return perturbed fast-engine results.
@@ -12,8 +12,8 @@ Rules are parsed from ``REPRO_CHAOS``, a semicolon-separated list of
 
 where ``kind`` is ``crash`` (raise :class:`ChaosCrash` in the worker),
 ``hang`` (sleep ``duration`` seconds, default 30), or ``perturb`` (bump
-the fast engine's steady stall count by one cycle so the guarded engine's
-cross-check trips).  ``config`` and ``seed`` select the cell (``*``
+the fast engine's steady stall count by one cycle on guarded runs, so the
+guard's cross-check trips).  ``config`` and ``seed`` select the cell (``*``
 matches any); ``attempts`` bounds how many dispatch attempts of that cell
 are sabotaged (default 1 — the first attempt fails, the retry succeeds,
 which is exactly the self-healing path CI wants to see).

@@ -1,10 +1,10 @@
-"""Guarded-engine support: detect fast/reference divergence mid-sweep.
+"""Engine guarding: detect fast/reference divergence mid-sweep.
 
 The fast engine is kept bit-identical to the reference simulator by a
 large differential test surface — but tests only cover the streams they
-run.  The ``guarded`` engine mode closes the gap for production sweeps:
-it runs the fast path and, on sampled cells, replays the same events
-through the reference walker and simulator.  Agreement costs one extra
+run.  A run's ``guard_stride`` closes the gap for production sweeps: the
+fast path drives the run and every stride-th sample replays the same
+events through the reference walker and simulator.  Agreement costs one extra
 simulation; disagreement produces a :class:`DivergenceReport` and the
 experiment degrades to the reference engine for the remainder of the
 sweep, so a fast-engine bug costs throughput instead of correctness.

@@ -16,7 +16,7 @@ packets.  Because the mutation happens at the event level it is
 
 * **deterministic** — selection is driven by a :class:`random.Random`
   seeded from a stable digest of ``(plan seed, sample seed)``, so the same
-  plan and seed produce bit-identical faulted traces in serial, parallel
+  plan and seed produce bit-identical faulted traces in serial, pooled
   and guarded runs alike;
 * **engine-neutral** — both walkers consume the same mutated stream, and
   the fast walker's event signature folds every condition in, so templates

@@ -20,7 +20,6 @@ from repro.harness.experiment import (
     Experiment,
     ExperimentResult,
     SampleResult,
-    resolve_engine,
     run_all_configs,
 )
 from repro.harness.latency import LatencyModel, CONTROLLER_ROUNDTRIP_US
@@ -35,7 +34,6 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "SampleResult",
-    "resolve_engine",
     "run_all_configs",
     "LatencyModel",
     "CONTROLLER_ROUNDTRIP_US",

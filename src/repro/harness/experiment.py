@@ -19,11 +19,18 @@ reproducing the run-to-run variance the paper reports as +-sigma.
 
 from __future__ import annotations
 
-import os
 import statistics
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 from repro.api.settings import (
     ENGINES as ENGINES,  # re-export: the harness is ENGINES' legacy home
@@ -62,53 +69,35 @@ from repro.protocols.stacks import (
 )
 from repro.trace.tracer import Tracer
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.api.spec import RunSpec
+    from repro.harness.parallel import SweepReport
+
 DEFAULT_WARMUP_ROUNDTRIPS = 25
 #: paper: ten samples for TCP/IP, five for RPC
 DEFAULT_SAMPLES = {"tcpip": 10, "rpc": 5}
-
-# ENGINES now lives in repro.api.settings (re-exported here for the many
-# callers that import it from the harness)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Deprecated: use :meth:`repro.api.Settings.from_env` instead.
-
-    Kept as a shim so legacy imports keep working; the precedence
-    (explicit arg > ``$REPRO_SIM_ENGINE`` > ``fast``) and the error
-    message for unknown engines are unchanged.
-    """
-    warnings.warn(
-        "resolve_engine() is deprecated; resolve the engine through "
-        "repro.api.Settings.from_env(engine=...).engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Settings.from_env(engine=engine).engine
-
-
-def verify_ir_enabled() -> bool:
-    """Deprecated: use :attr:`repro.api.Settings.verify_ir` instead.
-
-    When ``REPRO_VERIFY_IR=1``, every experiment build runs the
-    structural verifier of :mod:`repro.analysis.verify` after each
-    transformation stage and fails loudly the moment a transform
-    produces malformed IR.  The flag is now resolved once per run by
-    :meth:`repro.api.Settings.from_env`; this shim keeps legacy imports
-    working.
-    """
-    warnings.warn(
-        "verify_ir_enabled() is deprecated; read "
-        "repro.api.Settings.from_env().verify_ir instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Settings.from_env().verify_ir
 
 
 def _ir_verify_hook(stage: str, build: BuildResult) -> None:
     from repro.analysis.verify import assert_well_formed
 
     assert_well_formed(build.program, stage=stage)
+
+
+def _layout_strategy(layout: Optional[object]) -> Optional[LayoutStrategy]:
+    """A spec's layout override as a ``LayoutStrategy`` callable."""
+    if layout is None:
+        return None
+    strategy = getattr(layout, "strategy", None)
+    if callable(strategy):  # a LayoutArtifact
+        built: LayoutStrategy = strategy()
+        return built
+    if callable(layout):
+        return cast(LayoutStrategy, layout)
+    raise TypeError(
+        f"RunSpec.layout must be a LayoutArtifact or a LayoutStrategy "
+        f"callable, got {type(layout).__name__}"
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -267,7 +256,7 @@ class Experiment:
         engine: Optional[str] = None,
         memoize_captures: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        guard_stride: int = 1,
+        guard_stride: int = 0,
         on_divergence: str = "fallback",
         settings: Optional[Settings] = None,
         layout: Optional[LayoutStrategy] = None,
@@ -297,18 +286,19 @@ class Experiment:
                 f"experiment runs {stack!r}"
             )
         self.fault_plan = fault_plan
-        if guard_stride < 1:
-            raise ValueError("guard_stride must be >= 1")
+        if guard_stride < 0:
+            raise ValueError("guard_stride must be >= 0 (0 turns guarding off)")
         if on_divergence not in ("fallback", "raise"):
             raise ValueError(
                 f"on_divergence must be 'fallback' or 'raise', "
                 f"got {on_divergence!r}"
             )
+        #: replay every Nth fast sample through the reference path (0: off)
         self.guard_stride = guard_stride
         self.on_divergence = on_divergence
-        #: divergence reports the guarded engine collected so far
+        #: divergence reports the guard collected so far
         self.divergences: List[DivergenceReport] = []
-        #: the engine actually driving samples right now; the guarded mode
+        #: the engine actually driving samples right now; the guard
         #: degrades this to "reference" after a confirmed divergence
         self._live_engine = self.engine
         self.latency = LatencyModel(stack)
@@ -316,6 +306,23 @@ class Experiment:
         #: processing time is a fixed reference supplied by the caller
         #: (or measured once from the client's own steady time)
         self.server_processing_us = server_processing_us
+
+    @classmethod
+    def from_spec(cls, spec: RunSpec, settings: Settings) -> "Experiment":
+        """The experiment measuring ``spec`` under its resolved settings
+        (:func:`repro.api.settings_for`)."""
+        return cls(
+            spec.stack,
+            spec.config,
+            spec.options,
+            base_seed=spec.seed,
+            fault_plan=spec.fault_plan,
+            guard_stride=spec.guard_stride,
+            on_divergence=spec.on_divergence,
+            server_processing_us=spec.server_processing_us,
+            settings=settings,
+            layout=_layout_strategy(spec.layout),
+        )
 
     # ------------------------------------------------------------------ #
     # trace capture                                                      #
@@ -378,6 +385,32 @@ class Experiment:
     # full runs                                                          #
     # ------------------------------------------------------------------ #
 
+    def build(self) -> BuildResult:
+        """This experiment's program; the one place a build path is chosen."""
+        if self.settings.verify_ir:
+            # verification needs to observe every build stage, so it takes
+            # the uncached path regardless of engine (results are
+            # bit-identical; only build time differs)
+            return build_configured_program(
+                self.stack, self.config, self.opts,
+                stage_hook=_ir_verify_hook, layout=self.layout_override,
+            )
+        if self.layout_override is not None:
+            # a custom layout must never leak into the shared build memo
+            return build_configured_program(
+                self.stack, self.config, self.opts,
+                layout=self.layout_override,
+            )
+        if self.engine == "fast":
+            return build_configured_program_cached(
+                self.stack, self.config, self.opts
+            )
+        return build_configured_program(self.stack, self.config, self.opts)
+
+    def sample_seed(self, index: int) -> int:
+        """Allocator jitter seed of sample ``index`` (a fixed schedule)."""
+        return self.base_seed + 17 * index
+
     def run_sample(
         self, build: BuildResult, seed: int, *, sample_index: int = 0
     ) -> SampleResult:
@@ -385,25 +418,19 @@ class Experiment:
         faults: List[InjectedFault] = []
         if self.fault_plan is not None:
             events, faults = self.fault_plan.apply(events, seed)
-        engine = self._live_engine
-        if engine == "guarded":
-            walk, cold, steady = self._run_guarded(
+        if self._live_engine == "fast":
+            walk, cold, steady = self._run_fast(
                 build, events, data_env, seed, sample_index
             )
-        elif engine == "fast":
-            walk = FastWalker(build.program, data_env).walk(events)
-            cold, steady = simulate_cold_and_steady_cached(walk.packed)
         else:
-            walk = Walker(build.program, data_env).walk(list(events))
-            cold = MachineSimulator().run(walk.trace)
-            steady = MachineSimulator().run_steady_state(walk.trace)
+            walk, cold, steady = _run_reference(build, events, data_env)
         rtt = self.latency.roundtrip_us(
             steady.time_us(), self.server_processing_us
         )
         return SampleResult(events=events, walk=walk, cold=cold,
                             steady=steady, roundtrip_us=rtt, faults=faults)
 
-    def _run_guarded(
+    def _run_fast(
         self,
         build: BuildResult,
         events: List[Event],
@@ -411,20 +438,22 @@ class Experiment:
         seed: int,
         sample_index: int,
     ) -> Tuple[WalkResult, SimResult, SimResult]:
-        """Fast-engine results, cross-checked against the reference path.
+        """Fast-engine results, guarded when ``guard_stride`` is on.
 
-        Every ``guard_stride``-th sample is replayed through
-        the reference walker and simulator; a mismatch is recorded as a
+        Every ``guard_stride``-th sample is replayed through the
+        reference walker and simulator; a mismatch is recorded as a
         :class:`DivergenceReport` and — under the default ``fallback``
         policy — the reference results are used and the experiment runs
         the reference engine from here on.
         """
+        checked = self.guard_stride > 0 and sample_index % self.guard_stride == 0
         # walks consume list-valued conds in place, so the reference
         # replay needs its own copy of the (possibly faulted) stream
-        checked = sample_index % self.guard_stride == 0
         ref_events = _clone_events(events) if checked else []
         walk = FastWalker(build.program, data_env).walk(events)
         cold, steady = simulate_cold_and_steady_cached(walk.packed)
+        if not self.guard_stride:
+            return walk, cold, steady
         # chaos hook: a "perturb" rule models a fast-engine bug by
         # skewing the stall count (snapshots are ours to mutate)
         steady.memory.stall_cycles += chaos.perturbation(
@@ -432,10 +461,8 @@ class Experiment:
         )
         if not checked:
             return walk, cold, steady
-        ref_walk = Walker(build.program, data_env).walk(ref_events)
-        ref_cold = MachineSimulator().run(ref_walk.trace)
-        ref_steady = MachineSimulator().run_steady_state(ref_walk.trace)
-        mismatches = compare_results((cold, steady), (ref_cold, ref_steady))
+        reference = _run_reference(build, ref_events, data_env)
+        mismatches = compare_results((cold, steady), reference[1:])
         if not mismatches:
             return walk, cold, steady
         report = DivergenceReport(self.stack, self.config, seed, mismatches)
@@ -443,39 +470,29 @@ class Experiment:
         if self.on_divergence == "raise":
             raise EngineDivergence(report)
         self._live_engine = "reference"
-        return ref_walk, ref_cold, ref_steady
+        return reference
 
     def run(self, samples: Optional[int] = None) -> ExperimentResult:
         if samples is None:
             samples = DEFAULT_SAMPLES[self.stack]
-        if self.settings.verify_ir:
-            # verification needs to observe every build stage, so it takes
-            # the uncached path regardless of engine (results are
-            # bit-identical; only build time differs)
-            build = build_configured_program(
-                self.stack, self.config, self.opts,
-                stage_hook=_ir_verify_hook, layout=self.layout_override,
-            )
-        elif self.layout_override is not None:
-            # a custom layout must never leak into the shared build memo
-            build = build_configured_program(
-                self.stack, self.config, self.opts,
-                layout=self.layout_override,
-            )
-        elif self.engine in ("fast", "guarded"):
-            build = build_configured_program_cached(
-                self.stack, self.config, self.opts
-            )
-        else:
-            build = build_configured_program(self.stack, self.config, self.opts)
+        build = self.build()
         result = ExperimentResult(stack=self.stack, config=self.config,
                                   build=build)
         for i in range(samples):
             result.samples.append(
-                self.run_sample(build, seed=self.base_seed + 17 * i,
-                                sample_index=i)
+                self.run_sample(build, self.sample_seed(i), sample_index=i)
             )
         return result
+
+
+def _run_reference(
+    build: BuildResult, events: List[Event], data_env: Dict[str, int]
+) -> Tuple[WalkResult, SimResult, SimResult]:
+    """The oracle path: object-per-instruction walk and simulator."""
+    walk = Walker(build.program, data_env).walk(list(events))
+    cold = MachineSimulator().run(walk.trace)
+    steady = MachineSimulator().run_steady_state(walk.trace)
+    return walk, cold, steady
 
 
 def run_all_configs(
@@ -488,66 +505,34 @@ def run_all_configs(
     parallel: Optional[bool] = None,
     max_workers: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    report: Optional["SweepReport"] = None,
+    report: Optional[SweepReport] = None,
     settings: Optional[Settings] = None,
 ) -> Dict[str, ExperimentResult]:
     """Measure every configuration of one stack (the Table 4 sweep).
 
-    For RPC, the server's fixed processing-time reference is taken from
+    The paper's recipe on top of :func:`repro.api.sweep`: for RPC the
+    server's fixed processing-time reference is one fault-free sample of
     the ALL configuration (the paper always ran the best version on the
-    server side) — and stays fault-free even under a ``fault_plan``: the
-    plan perturbs the measured client, not the reference peer.
-
-    ``parallel=None`` auto-enables the process-pool executor on
-    multi-core hosts; ``parallel=False`` forces the serial loop.  Work
-    items are deterministic (config, seed) cells, so the parallel sweep
-    reproduces the serial one sample for sample (parallel samples carry
-    an empty ``events`` list: live event streams hold unpicklable
-    closures and stay in the worker).
-
-    Pass a fresh :class:`repro.harness.parallel.SweepReport` as
-    ``report`` to observe incidents, retries, serial degradation and
-    guarded-engine divergences regardless of which executor ends up
-    running the sweep.
+    server side), measured first and handed to every run as
+    ``server_processing_us`` — a ``fault_plan`` perturbs the measured
+    client, never the reference peer.  ``parallel``, ``max_workers`` and
+    ``report`` go to the sweep executor unchanged.
     """
+    from repro import api
+
     base = settings if settings is not None else Settings.from_env()
-    settings = base.with_engine(engine)
-    if samples is None:
-        samples = DEFAULT_SAMPLES[stack]
+    base = base.with_engine(engine)
     server_ref: Optional[float] = None
     if stack == "rpc":
-        best = Experiment(stack, "ALL", opts, settings=settings).run(samples=1)
+        best = api.run(api.RunSpec(stack, "ALL", opts, samples=1), settings=base)
         server_ref = best.mean_processing_us
-
-    if parallel is None:
-        parallel = (os.cpu_count() or 1) > 1 and samples * len(configs) > 1
-    if parallel:
-        from repro.harness.parallel import run_parallel_sweep
-
-        try:
-            return run_parallel_sweep(
-                stack, configs, samples=samples, opts=opts,
-                server_processing_us=server_ref, settings=settings,
-                max_workers=max_workers, fault_plan=fault_plan,
-                report=report,
-            )
-        except Exception:
-            # a pool failure (sandboxing, fork limits) degrades to the
-            # serial sweep rather than failing the measurement
-            if report is not None:
-                report.degraded_to_serial = True
-                # the serial loop below re-runs everything from scratch
-                report.completed = 0
-                report.completed_serial = 0
-
-    out: Dict[str, ExperimentResult] = {}
-    for config in configs:
-        exp = Experiment(stack, config, opts,
-                         server_processing_us=server_ref, settings=settings,
-                         fault_plan=fault_plan)
-        out[config] = exp.run(samples)
-        if report is not None:
-            report.divergences.extend(exp.divergences)
-            report.completed_serial += len(out[config].samples)
-            report.completed += len(out[config].samples)
-    return out
+    runs = tuple(
+        api.RunSpec(stack, config, opts, samples=samples, fault_plan=fault_plan,
+                    server_processing_us=server_ref)
+        for config in configs
+    )
+    results = api.sweep(
+        api.SweepSpec(runs, parallel=parallel, max_workers=max_workers),
+        settings=base, report=report,
+    )
+    return dict(zip(configs, results))

@@ -1,22 +1,23 @@
-"""Parallel cell executor: deterministic work items over a process pool,
-with self-healing dispatch.
+"""The sweep executor: deterministic (run, sample) cells, serially or
+over a self-healing process pool.
 
-A full-table sweep is embarrassingly parallel: each (configuration,
-jitter-seed) cell captures, walks and simulates independently, and the
-seed schedule (``base_seed + 17 * i``) is fixed up front.  Workers run
-whole cells and return *slim* sample results — packed walk plus
-simulation stats — because live event streams close over functional-net
-objects (including lambdas) and cannot cross a process boundary.  The
-parent rebuilds each configuration's program via the build memo (cheap,
-and usually already present) and reassembles ``ExperimentResult`` objects
-in deterministic sample order, so a parallel sweep is sample-for-sample
-identical to the serial one apart from the dropped event lists.
+A sweep is embarrassingly parallel: each (run, sample) cell captures,
+walks and simulates independently, and the seed schedule
+(:meth:`Experiment.sample_seed`) is fixed up front.  :func:`run_sweep`
+runs any batch of :class:`~repro.api.RunSpec` either spec by spec in
+this process or as cells on the pool, and either way each result equals
+``api.run(spec)`` sample for sample.  Pool workers build their
+``Experiment`` from the spec exactly as ``api.run`` does and return
+*slim* sample results — packed walk plus simulation stats — because
+live event streams close over functional-net objects (including
+lambdas) and cannot cross a process boundary; pooled samples therefore
+carry an empty ``events`` list.
 
 The dispatch machinery is generic (:func:`run_parallel_cells`): any
 deterministic worker function plus a list of payloads gets the same
 resilience the sweep enjoys.  The layout-search evaluator
-(:mod:`repro.search.evaluate`) dispatches candidate-layout scoring
-through it.  Dispatch is resilient rather than optimistic:
+(:mod:`repro.search.evaluate`) and the resilience study dispatch through
+it too.  Dispatch is resilient rather than optimistic:
 
 * a worker exception costs one bounded, backoff-spaced retry of that
   cell (the full payload travels with the cell, so a retried cell is
@@ -35,27 +36,26 @@ through it.  Dispatch is resilient rather than optimistic:
 
 On fork-based platforms workers inherit the parent's warm caches (builds,
 walk templates, simulation results) copy-on-write for free.  A pool that
-cannot be created at all is the caller's cue to fall back to a serial
-loop (:func:`repro.harness.experiment.run_all_configs` does this
-automatically).
+cannot be created at all degrades :func:`run_sweep` to its serial path.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.settings import Settings
-from repro.arch.simulator import SimResult
 from repro.core.walker import WalkResult
 from repro.faults import chaos
 from repro.faults.guard import DivergenceReport
-from repro.faults.plan import FaultPlan, InjectedFault
-from repro.harness.configs import build_configured_program_cached
-from repro.protocols.options import Section2Options
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.api.spec import RunSpec
+    from repro.harness.experiment import ExperimentResult, SampleResult
 
 #: cap on the exponential retry backoff, seconds
 _MAX_BACKOFF_S = 2.0
@@ -87,12 +87,15 @@ class CellIncident:
 
 @dataclass
 class SweepReport:
-    """What actually happened while a parallel run executed.
+    """What actually happened while a sweep or parallel run executed.
 
     ``completed`` counts every finished cell however it got there;
-    ``completed_serial`` the subset healed by in-process execution.
-    ``incidents`` are recovered failures, ``failures`` permanent ones
-    (``ok()`` is false iff any cell failed permanently).
+    ``completed_serial`` the subset run in-process (a serial sweep, or
+    pool cells healed serially).  ``incidents`` are recovered failures,
+    ``failures`` permanent ones (``ok()`` is false iff any cell failed
+    permanently).  A sweep names its distinct stacks and engines
+    ``+``-joined, its runs' configs in order, and the largest per-run
+    sample count.
     """
 
     stack: str = ""
@@ -162,29 +165,18 @@ class SweepError(RuntimeError):
 
 
 def _run_cell(
-    stack: str,
-    config: str,
-    opts: Optional[Section2Options],
-    seed: int,
-    server_processing_us: Optional[float],
-    settings: Settings,
-    fault_plan: Optional[FaultPlan],
-    sample_index: int,
-    attempt: int = 0,
-) -> Tuple[str, int, WalkResult, SimResult, SimResult, float,
-           List[InjectedFault], List[DivergenceReport]]:
-    """Worker: measure one (config, seed) cell; return picklable parts."""
+    spec: RunSpec, settings: Settings, sample_index: int, attempt: int = 0
+) -> Tuple[SampleResult, List[DivergenceReport]]:
+    """Worker: measure one (run, sample) cell; return picklable parts."""
     from repro.harness.experiment import Experiment
 
-    chaos.maybe_fail(config, seed, attempt, rules=settings.chaos)
-    exp = Experiment(stack, config, opts,
-                     server_processing_us=server_processing_us,
-                     settings=settings, fault_plan=fault_plan)
-    build = build_configured_program_cached(stack, config, opts)
-    sample = exp.run_sample(build, seed, sample_index=sample_index)
-    walk = WalkResult(sample.walk.packed, sample.walk.marks)
-    return (config, seed, walk, sample.cold, sample.steady,
-            sample.roundtrip_us, sample.faults, list(exp.divergences))
+    exp = Experiment.from_spec(spec, settings)
+    seed = exp.sample_seed(sample_index)
+    chaos.maybe_fail(spec.config, seed, attempt, rules=settings.chaos)
+    sample = exp.run_sample(exp.build(), seed, sample_index=sample_index)
+    sample.events = []
+    sample.walk = WalkResult(sample.walk.packed, sample.walk.marks)
+    return sample, exp.divergences
 
 
 def _make_pool(
@@ -227,8 +219,8 @@ def run_parallel_cells(
 ) -> List:
     """Run ``worker(*payload, attempt)`` per payload on a self-healing pool.
 
-    The generic dispatch core shared by :func:`run_parallel_sweep` and
-    the layout-search evaluator.  ``worker`` must be a module-level
+    The generic dispatch core shared by :func:`run_sweep`, the
+    layout-search evaluator and the resilience study.  ``worker`` must be a module-level
     (picklable) callable invoked as ``worker(*payloads[i], attempt)``
     where ``attempt`` counts prior dispatches of that cell (0 on the
     first try) — deterministic workers therefore return bit-identical
@@ -361,77 +353,94 @@ def run_parallel_cells(
     return slots
 
 
-def run_parallel_sweep(
-    stack: str,
-    configs: Sequence[str],
+def _distinct(values: Sequence[str]) -> str:
+    return "+".join(dict.fromkeys(values))
+
+
+def run_sweep(
+    runs: Sequence[RunSpec],
     *,
-    samples: int,
-    opts: Optional[Section2Options] = None,
-    server_processing_us: Optional[float] = None,
-    engine: Optional[str] = None,
+    settings: Optional[Settings] = None,
+    parallel: Optional[bool] = None,
     max_workers: Optional[int] = None,
-    base_seed: int = 42,
-    fault_plan: Optional[FaultPlan] = None,
     retries: int = 2,
     cell_timeout: Optional[float] = None,
     backoff_s: float = 0.05,
     serial_fallback: bool = True,
     report: Optional[SweepReport] = None,
-    settings: Optional[Settings] = None,
-) -> Dict[str, "ExperimentResult"]:
-    """Run the (configs x samples) sweep on a self-healing process pool.
+) -> List[ExperimentResult]:
+    """Measure every run; results in run order, each equal to ``api.run``.
 
-    Returns the same mapping as the serial ``run_all_configs`` loop.
-    Raises :class:`SweepError` (naming every missing cell, report
-    attached) if any cell cannot be completed, and propagates pool
-    construction failures so callers can fall back to a serial sweep.
+    ``parallel=None`` pools the (run, sample) cells when the host has
+    more than one core and there is more than one cell; ``False`` runs
+    spec by spec in this process.  The pool knobs (``max_workers`` to
+    ``serial_fallback``) are those of :func:`run_parallel_cells`.  A
+    guard divergence's fallback to the reference engine lasts for the
+    rest of its run when serial, and for its own cell when pooled.
+    Raises :class:`SweepError` (report attached) if a pooled cell cannot
+    be completed; a pool that cannot start degrades to the serial path,
+    flagged on the report.
     """
-    from repro.harness.experiment import ExperimentResult, SampleResult
-
-    base = settings if settings is not None else Settings.from_env()
-    settings = base.with_engine(engine)
-
-    if report is None:
-        report = SweepReport()
-    report.stack = stack
-    report.engine = settings.engine
-    report.configs = tuple(configs)
-    report.samples = samples
-    report.chaos_rules = chaos.rules_summary(settings.chaos)
-
-    seeds = [base_seed + 17 * i for i in range(samples)]
-    cells = [(config, i) for config in configs for i in range(samples)]
-    payloads = [
-        (stack, config, opts, seeds[i], server_processing_us, settings,
-         fault_plan, i)
-        for config, i in cells
-    ]
-    labels = [(config, seeds[i]) for config, i in cells]
-
-    slots: Dict[str, List[Optional[SampleResult]]] = {
-        config: [None] * samples for config in configs
-    }
-
-    def absorb(cell_index: int, payload: object) -> None:
-        config, i = cells[cell_index]
-        _, _, walk, cold, steady, rtt, faults, divergences = payload
-        slots[config][i] = SampleResult(
-            events=[], walk=walk, cold=cold, steady=steady,
-            roundtrip_us=rtt, faults=list(faults),
-        )
-        report.divergences.extend(divergences)
-
-    run_parallel_cells(
-        _run_cell, payloads, labels,
-        max_workers=max_workers, retries=retries,
-        cell_timeout=cell_timeout, backoff_s=backoff_s,
-        serial_fallback=serial_fallback, report=report, on_result=absorb,
+    from repro.api import settings_for
+    from repro.harness.experiment import (
+        DEFAULT_SAMPLES,
+        Experiment,
+        ExperimentResult,
     )
 
-    out: Dict[str, ExperimentResult] = {}
-    for config in configs:
-        build = build_configured_program_cached(stack, config, opts)
-        result = ExperimentResult(stack=stack, config=config, build=build)
-        result.samples = list(slots[config])
-        out[config] = result
+    base = settings if settings is not None else Settings.from_env()
+    resolved = [settings_for(spec, base) for spec in runs]
+    exps = [Experiment.from_spec(s, r) for s, r in zip(runs, resolved)]
+    counts = [
+        s.samples if s.samples is not None else DEFAULT_SAMPLES[s.stack]
+        for s in runs
+    ]
+    if report is None:
+        report = SweepReport()
+    report.stack = _distinct([s.stack for s in runs])
+    report.engine = _distinct([r.engine for r in resolved])
+    report.configs = tuple(s.config for s in runs)
+    report.samples = max(counts, default=0)
+    report.chaos_rules = chaos.rules_summary(base.chaos)
+
+    cells = [(k, i) for k, n in enumerate(counts) for i in range(n)]
+    if parallel is None:
+        parallel = (os.cpu_count() or 1) > 1 and len(cells) > 1
+    if parallel:
+        # parent-side builds fill ``result.build`` and warm the build memo
+        # that forked workers inherit
+        pooled = [
+            ExperimentResult(s.stack, s.config, exp.build(), [None] * n)
+            for s, exp, n in zip(runs, exps, counts)
+        ]
+
+        def absorb(cell_index: int, payload: object) -> None:
+            k, i = cells[cell_index]
+            sample, divergences = payload
+            pooled[k].samples[i] = sample
+            report.divergences.extend(divergences)
+
+        try:
+            run_parallel_cells(
+                _run_cell,
+                [(runs[k], resolved[k], i) for k, i in cells],
+                [(runs[k].config, exps[k].sample_seed(i)) for k, i in cells],
+                max_workers=max_workers, retries=retries,
+                cell_timeout=cell_timeout, backoff_s=backoff_s,
+                serial_fallback=serial_fallback, report=report,
+                on_result=absorb,
+            )
+            return pooled
+        except (OSError, ImportError, NotImplementedError):
+            # the pool cannot start here (sandboxing, fork limits): run
+            # the serial path instead, which re-runs everything
+            report.degraded_to_serial = True
+            report.completed = report.completed_serial = 0
+
+    out = []
+    for exp, n in zip(exps, counts):
+        out.append(exp.run(n))
+        report.divergences.extend(exp.divergences)
+        report.completed += n
+        report.completed_serial += n
     return out

@@ -29,7 +29,6 @@ from repro.traffic.study import (
     StreamCollector,
     TrafficPoint,
     _CellSetup,
-    _normalize_engine,
     run_traffic_point,
 )
 from repro.xkernel.map import make_scheme
@@ -219,7 +218,6 @@ def run_resilience_study(
     overload = overload or OverloadSpec()
     overload.validate()
     config = config or AlphaConfig()
-    engine = _normalize_engine(engine)
     if report is None:
         report = SweepReport()
     report.stack = base_spec.stack

@@ -96,12 +96,7 @@ class CellEvaluator:
         self.stack = stack
         self.config = config
         self.settings = settings if settings is not None else Settings.from_env()
-        # search scores single samples; the guarded engine's per-sample
-        # cross-check is the experiment layer's job, so it scores on fast
-        # (scores are bit-identical across all engines anyway)
-        self.engine = (
-            "reference" if self.settings.engine == "reference" else "fast"
-        )
+        self.engine = self.settings.engine
         self.base_seed = base_seed
         self._clone_events = _clone_events
         self._exp = Experiment(

@@ -60,12 +60,10 @@ class StreamExactnessError(RuntimeError):
 def make_stream_machine(engine: str, config: Optional[AlphaConfig] = None):
     """A persistent machine for stream simulation.
 
-    The guarded engine maps to fast (the cross-check harness wraps whole
-    experiments, not stream edges); the reference engine has no
-    packed-segment pass and is refused with a pointer at the oracle tests
-    that cover it.
+    The reference engine has no packed-segment pass and is refused with
+    a pointer at the oracle tests that cover it.
     """
-    if engine in ("fast", "guarded"):
+    if engine == "fast":
         return FastMachine(config)
     raise ValueError(
         "traffic streaming needs the packed-segment fast engine, "

@@ -180,12 +180,6 @@ class TrafficStudy:
         return missing
 
 
-def _normalize_engine(engine: str) -> str:
-    if engine == "guarded":
-        return "fast"
-    return engine  # make_stream_machine raises with the full story
-
-
 class _CellSetup:
     """Per-population segment libraries and image offsets for a spec."""
 
@@ -234,7 +228,6 @@ def run_traffic_point(
     """
     spec.validate()
     config = config or AlphaConfig()
-    engine = _normalize_engine(engine)
     setup = setup or _CellSetup(spec, config)
     libraries = setup.libraries
     populations = setup.populations
@@ -447,7 +440,7 @@ def run_traffic_study(
     config = config or AlphaConfig()
     study = TrafficStudy(
         base_spec=base_spec,
-        engine=_normalize_engine(engine),
+        engine=engine,
         schemes=schemes,
         mixes=mixes,
         flow_counts=flow_counts,

@@ -273,6 +273,45 @@ class TestVerifyIrHook:
         result = Experiment("tcpip", "OUT").run(samples=1)
         assert result.samples[0].trace_length > 0
 
+    def test_pooled_sweep_runs_the_verifier(self, monkeypatch, tmp_path):
+        """Every pool worker builds through Experiment, so Settings'
+        verify_ir reaches the workers exactly as it reaches a serial run."""
+        import os
+
+        from repro import api
+        from repro.analysis import verify
+        from repro.api.settings import Settings
+        from repro.harness.parallel import SweepReport
+
+        log = tmp_path / "verified"
+        real = verify.assert_well_formed
+
+        def logged(program, *, stage=""):
+            with open(log, "a") as fh:  # forked workers append their pid
+                fh.write(f"{os.getpid()}\n")
+            real(program, stage=stage)
+
+        monkeypatch.setattr(verify, "assert_well_formed", logged)
+        specs = [api.RunSpec("tcpip", c, samples=1) for c in ("STD", "OUT")]
+
+        def verifier_pids(parallel):
+            log.write_text("")
+            report = SweepReport()
+            api.sweep(
+                api.SweepSpec(specs, parallel=parallel, max_workers=2),
+                settings=Settings(verify_ir=True),
+                report=report,
+            )
+            if parallel and report.degraded_to_serial:  # pragma: no cover
+                pytest.skip("process pool unavailable")
+            return log.read_text().split()
+
+        me = str(os.getpid())
+        serial = verifier_pids(False)
+        assert serial and set(serial) == {me}
+        in_workers = [pid for pid in verifier_pids(True) if pid != me]
+        assert len(in_workers) == len(serial)
+
     def test_disabled_by_default(self, monkeypatch):
         from repro.api.settings import Settings
 

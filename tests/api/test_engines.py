@@ -1,21 +1,20 @@
-"""The engine registry after the generated-simulation engines were retired.
+"""The engine registry: the reference oracle plus the fast engine.
 
-``gensim`` and ``guarded-gensim`` (generated per-cell kernels) are gone;
-the registry is the reference oracle, the fast engine and the guarded
-fast engine.  Every layer that consumes the registry — Settings
-validation, the deprecated shim, the Experiment dispatch, the profiler —
-must agree on it, the engines that remain must stay bit-identical under
-injected workload faults, and the retired names must fail fast rather
-than fall through to another engine.
+``gensim`` and ``guarded-gensim`` (generated per-cell kernels) are gone,
+and guarding is a per-run stride (``RunSpec.guard_stride``), not an
+engine.  Every layer that consumes the registry — Settings validation,
+the Experiment dispatch, the profiler — must agree on it, the engines
+must stay bit-identical under injected workload faults, and the retired
+names must fail fast rather than fall through to another engine.
 """
 
 import pytest
 
 from repro.api.settings import ENGINE_ENV, ENGINES, Settings, validate_engine
 from repro.faults.plan import FaultPlan
-from repro.harness.experiment import Experiment, resolve_engine
+from repro.harness.experiment import Experiment
 
-RETIRED = ("gensim", "guarded-gensim")
+RETIRED = ("gensim", "guarded-gensim", "guarded")
 
 
 def _shape(result):
@@ -31,7 +30,7 @@ def _shape(result):
 
 
 def test_registry_is_the_oracle_plus_the_fast_engine():
-    assert ENGINES == ("fast", "reference", "guarded")
+    assert ENGINES == ("fast", "reference")
 
 
 def test_fail_fast_error_names_every_registered_engine():
@@ -45,23 +44,13 @@ def test_retired_engine_names_are_rejected_naming_the_valid_ones():
     for engine in RETIRED:
         with pytest.raises(ValueError) as err:
             Settings.from_env({ENGINE_ENV: engine})
-        assert "fast, reference, guarded" in str(err.value)
+        assert "valid engines: fast, reference" in str(err.value)
 
 
 def test_settings_accept_every_registered_engine():
     for engine in ENGINES:
         assert Settings(engine=engine).engine == engine
         assert Settings.from_env({}, engine=engine).engine == engine
-
-
-def test_deprecated_shim_validates_against_the_same_registry():
-    with pytest.warns(DeprecationWarning):
-        assert resolve_engine("reference") == "reference"
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError) as err:
-            resolve_engine("nonesuch")
-    for engine in ENGINES:
-        assert engine in str(err.value)
 
 
 def test_experiment_dispatch_covers_every_registered_engine():

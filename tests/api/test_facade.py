@@ -1,6 +1,7 @@
 """Tests for the ``repro.api`` facade: specs, settings, and the verbs."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -21,7 +22,21 @@ from repro.api import (
 )
 from repro.api.result import Result
 from repro.api.settings import CHAOS_ENV, ENGINE_ENV, VERIFY_IR_ENV
+from repro.faults.plan import FaultPlan
 from repro.harness.experiment import Experiment, run_all_configs
+from repro.harness.parallel import SweepReport
+from repro.search.artifact import LayoutArtifact
+
+#: a committed search artifact (tcpip CLO) to replay as a RunSpec layout
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+SEARCH_SMOKE = RESULTS / "search_smoke_tcpip.json"
+
+
+def _samples(result):
+    return [
+        (s.roundtrip_us, s.cold, s.steady, s.walk.length, len(s.faults))
+        for s in result.samples
+    ]
 
 
 class TestRunSpec:
@@ -108,24 +123,6 @@ class TestSettings:
         assert exp.engine == "fast"
 
 
-class TestDeprecationShims:
-    def test_resolve_engine_warns_but_works(self, monkeypatch):
-        from repro.harness.experiment import resolve_engine
-
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        with pytest.warns(DeprecationWarning, match="Settings"):
-            assert resolve_engine() == "reference"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_engine("fast") == "fast"
-
-    def test_verify_ir_enabled_warns_but_works(self, monkeypatch):
-        from repro.harness.experiment import verify_ir_enabled
-
-        monkeypatch.setenv(VERIFY_IR_ENV, "1")
-        with pytest.warns(DeprecationWarning, match="Settings"):
-            assert verify_ir_enabled() is True
-
-
 class TestRun:
     @pytest.mark.parametrize("stack", ["tcpip", "rpc"])
     def test_bit_identical_to_legacy_experiment(self, stack):
@@ -196,6 +193,41 @@ class TestSweep:
     def test_empty_sweep(self):
         assert sweep([]) == []
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_rpc_sweep_equals_run_per_spec(self, seed, parallel):
+        # a sweep adds nothing to its specs: no server reference, no
+        # seed-dependent routing (the paper's ALL-server recipe lives in
+        # run_all_configs, which states it as server_processing_us)
+        specs = [RunSpec("rpc", c, samples=2, seed=seed) for c in ("STD", "ALL")]
+        report = SweepReport()
+        sweep_spec = SweepSpec(specs, parallel=parallel, max_workers=2)
+        swept = sweep(sweep_spec, report=report)
+        assert [_samples(r) for r in swept] == [_samples(run(s)) for s in specs]
+        assert report.completed == 4
+        assert report.completed_serial == (0 if parallel else 4)
+        pooled = all(s.events == [] for r in swept for s in r.samples)
+        assert pooled == parallel
+
+    def test_pooled_sweep_equals_run_on_heterogeneous_specs(self):
+        artifact = LayoutArtifact.load(SEARCH_SMOKE)
+        plan = FaultPlan("tcpip", rate=0.5, seed=3)
+        specs = (
+            RunSpec("tcpip", "CLO", samples=2, layout=artifact),
+            RunSpec("rpc", "OUT", samples=1, seed=7, verify_ir=True),
+            RunSpec("tcpip", "STD", samples=2, seed=43, fault_plan=plan),
+            RunSpec("tcpip", "STD", samples=3, engine="fast", guard_stride=2),
+            RunSpec("tcpip", "OUT", samples=1, engine="reference"),
+        )
+        report = SweepReport()
+        swept = sweep(SweepSpec(specs, parallel=True, max_workers=2), report=report)
+        assert [r.config for r in swept] == [s.config for s in specs]
+        assert [_samples(r) for r in swept] == [_samples(run(s)) for s in specs]
+        assert swept[2].total_faults > 0
+        assert report.stack == "tcpip+rpc"
+        assert report.configs == ("CLO", "OUT", "STD", "STD", "OUT")
+        assert report.completed == 9 and not report.divergences
+
 
 class TestSearchVerb:
     def test_search_returns_replayable_artifact(self):
@@ -216,11 +248,6 @@ class TestSearchVerb:
         b = search(spec)
         assert a.best_score == b.best_score
         assert a.artifact.placements == b.artifact.placements
-
-    def test_search_spec_refuses_conflicting_kwargs(self):
-        spec = SearchSpec(RunSpec("tcpip", "STD"), budget=4, seed=2)
-        with pytest.raises(TypeError, match="SearchSpec already carries"):
-            api.search(spec, budget=8)
 
 
 class TestResultProtocol:
@@ -289,20 +316,7 @@ class TestResultProtocol:
 
 
 class TestKwargShims:
-    """The pre-spec keyword forms still work but warn."""
-
-    def test_sweep_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SweepSpec"):
-            results = sweep(
-                [RunSpec("tcpip", "STD", samples=1)], parallel=False
-            )
-        assert results[0].config == "STD"
-
-    def test_search_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SearchSpec"):
-            result = search(RunSpec("tcpip", "STD"), budget=4, seed=2)
-        via_spec = search(SearchSpec(RunSpec("tcpip", "STD"), budget=4, seed=2))
-        assert result.artifact.placements == via_spec.artifact.placements
+    """A bare RunSpec is shorthand for the verb's spec with defaults."""
 
     def test_search_bare_runspec_with_defaults_stays_silent(self):
         import warnings
@@ -310,18 +324,3 @@ class TestKwargShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             search(RunSpec("tcpip", "STD"))
-
-    def test_analyze_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="AnalyzeSpec"):
-            report = api.analyze(
-                RunSpec("tcpip", "STD"), check_conflicts=False
-            )
-        assert report.ok
-
-    def test_traffic_kwargs_warn(self):
-        from repro.traffic import TrafficSpec
-
-        small = TrafficSpec(packets=2_000, flows=50, warmup_packets=200)
-        with pytest.warns(DeprecationWarning, match="TrafficStudySpec"):
-            study = api.traffic(small, schemes=["one-entry"])
-        assert study.point("one-entry", "zipf", 50)

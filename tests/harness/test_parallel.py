@@ -8,7 +8,7 @@ from repro.harness.experiment import (
     clear_capture_memo,
     run_all_configs,
 )
-from repro.harness.parallel import run_parallel_sweep
+from repro.harness.parallel import SweepReport
 
 SMALL = ("STD", "OUT")
 
@@ -18,10 +18,12 @@ def _sample_tuples(result):
 
 
 def test_parallel_sweep_reproduces_serial_sweep():
-    try:
-        par = run_parallel_sweep("tcpip", SMALL, samples=2, max_workers=2)
-    except OSError as exc:                               # pragma: no cover
-        pytest.skip(f"process pool unavailable: {exc}")
+    report = SweepReport()
+    par = run_all_configs(
+        "tcpip", SMALL, samples=2, parallel=True, max_workers=2, report=report
+    )
+    if report.degraded_to_serial:                        # pragma: no cover
+        pytest.skip("process pool unavailable")
     ser = run_all_configs("tcpip", SMALL, samples=2, parallel=False)
     assert set(par) == set(ser) == set(SMALL)
     for config in SMALL:

@@ -8,9 +8,12 @@ plain serial loop, and every incident is on the report.
 
 import pytest
 
+from repro import api
+from repro.api import FaultsSpec, RunSpec, Settings, SweepSpec
 from repro.faults.plan import FaultPlan
+from repro.harness import parallel
 from repro.harness.experiment import Experiment, run_all_configs
-from repro.harness.parallel import SweepError, SweepReport, run_parallel_sweep
+from repro.harness.parallel import SweepError, SweepReport, run_sweep
 
 SMALL = ("STD", "OUT")
 
@@ -22,13 +25,18 @@ def _tuples(results):
     }
 
 
-def _parallel(report=None, **kwargs):
-    kwargs.setdefault("samples", 2)
-    kwargs.setdefault("max_workers", 2)
-    try:
-        return run_parallel_sweep("tcpip", SMALL, report=report, **kwargs)
-    except OSError as exc:  # pragma: no cover
-        pytest.skip(f"process pool unavailable: {exc}")
+def _specs(configs=SMALL, **fields):
+    return [RunSpec("tcpip", config, samples=2, **fields) for config in configs]
+
+
+def _parallel(report, specs=None, **kwargs):
+    """The sweep executor on a two-worker pool, keyed by config."""
+    results = run_sweep(
+        specs or _specs(), parallel=True, max_workers=2, report=report, **kwargs
+    )
+    if report.degraded_to_serial:  # pragma: no cover
+        pytest.skip("process pool unavailable")
+    return {result.config: result for result in results}
 
 
 @pytest.fixture()
@@ -109,11 +117,23 @@ def test_sweep_cannot_silently_lose_samples(serial_baseline):
     assert _tuples(par) == serial_baseline
 
 
+def test_pool_that_cannot_start_degrades_to_serial(serial_baseline, monkeypatch):
+    def refuse(max_workers):
+        raise OSError("no process pool here")
+
+    monkeypatch.setattr(parallel, "_make_pool", refuse)
+    report = SweepReport()
+    results = run_sweep(_specs(), parallel=True, max_workers=2, report=report)
+    assert _tuples({r.config: r for r in results}) == serial_baseline
+    assert report.degraded_to_serial
+    assert report.completed == report.completed_serial == 4
+
+
 def test_faulted_sweep_is_parallel_serial_identical():
     plan = FaultPlan(stack="tcpip", rate=0.5, seed=7)
     ser = run_all_configs("tcpip", SMALL, samples=2, parallel=False, fault_plan=plan)
     report = SweepReport()
-    par = _parallel(report, fault_plan=plan)
+    par = _parallel(report, _specs(fault_plan=plan))
     assert _tuples(par) == _tuples(ser)
     for config in SMALL:
         par_counts = [len(s.faults) for s in par[config].samples]
@@ -124,7 +144,7 @@ def test_faulted_sweep_is_parallel_serial_identical():
 
 def test_guarded_divergence_detected_in_serial_run(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "perturb:CLO:42:1")
-    exp = Experiment("tcpip", "CLO", engine="guarded")
+    exp = Experiment("tcpip", "CLO", engine="fast", guard_stride=1)
     result = exp.run(samples=2)
     assert len(exp.divergences) == 1
     report = exp.divergences[0]
@@ -141,7 +161,9 @@ def test_guarded_divergence_can_raise(monkeypatch):
     from repro.faults.guard import EngineDivergence
 
     monkeypatch.setenv("REPRO_CHAOS", "perturb:CLO:42:1")
-    exp = Experiment("tcpip", "CLO", engine="guarded", on_divergence="raise")
+    exp = Experiment(
+        "tcpip", "CLO", engine="fast", guard_stride=1, on_divergence="raise"
+    )
     with pytest.raises(EngineDivergence):
         exp.run(samples=1)
 
@@ -149,12 +171,7 @@ def test_guarded_divergence_can_raise(monkeypatch):
 def test_guarded_divergence_detected_in_parallel_sweep(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "perturb:CLO:42:1")
     report = SweepReport()
-    try:
-        par = run_parallel_sweep(
-            "tcpip", ("CLO",), samples=2, max_workers=2, engine="guarded", report=report
-        )
-    except OSError as exc:  # pragma: no cover
-        pytest.skip(f"process pool unavailable: {exc}")
+    par = _parallel(report, _specs(("CLO",), engine="fast", guard_stride=1))
     assert len(report.divergences) == 1
     assert report.divergences[0].config == "CLO"
     ref = run_all_configs(
@@ -164,11 +181,11 @@ def test_guarded_divergence_detected_in_parallel_sweep(monkeypatch):
 
 
 def test_clean_guarded_sweep_matches_fast_engine():
-    guarded = run_all_configs(
-        "tcpip", SMALL, samples=2, parallel=False, engine="guarded"
+    guarded = api.sweep(
+        SweepSpec(_specs(engine="fast", guard_stride=1), parallel=False)
     )
     fast = run_all_configs("tcpip", SMALL, samples=2, parallel=False, engine="fast")
-    assert _tuples(guarded) == _tuples(fast)
+    assert _tuples({r.config: r for r in guarded}) == _tuples(fast)
 
 
 def test_run_all_configs_report_plumbing():
@@ -177,3 +194,18 @@ def test_run_all_configs_report_plumbing():
     assert set(results) == set(SMALL)
     assert report.completed == 4
     assert report.completed_serial == 4
+
+
+def test_serial_and_pooled_reports_name_the_sweep_alike():
+    serial = SweepReport()
+    run_sweep(_specs(), parallel=False, report=serial)
+    pooled = SweepReport()
+    _parallel(pooled)
+    engine = Settings.from_env().engine
+    for report in (serial, pooled):
+        assert (report.stack, report.engine) == ("tcpip", engine)
+        assert (report.configs, report.samples) == (SMALL, 2)
+    # a one-cell faults sweep runs serially and still names itself
+    study = api.faults(FaultsSpec(configs=("STD",), samples=1))
+    assert (study.sweep.stack, study.sweep.configs) == ("tcpip", ("STD",))
+    assert study.sweep.completed == study.sweep.completed_serial == 1

@@ -4,8 +4,8 @@ The transition-memoized :class:`TransitionStream` must reproduce, to the
 counter, what a persistent machine accumulates simulating the same
 segment sequence one pass at a time (memoization is a pure
 optimization); the committed golden table is the CI-scale version of
-this.  The guarded engine streams on fast, and the reference engine,
-which has no packed-segment pass, is refused.
+this.  The reference engine, which has no packed-segment pass, is
+refused.
 """
 
 import pytest
@@ -85,9 +85,6 @@ class TestMemoizationIsExact:
 
 
 class TestCrossEngine:
-    def test_guarded_engines_map_to_their_primaries(self):
-        assert isinstance(make_stream_machine("guarded"), FastMachine)
-
     def test_reference_engine_is_refused(self):
         with pytest.raises(ValueError, match="reference"):
             make_stream_machine("reference")
