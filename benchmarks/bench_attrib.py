@@ -12,10 +12,10 @@ Produces ``BENCH_attrib.json`` (repo root) with:
   the engine's measured totals for every cell (the engines raise
   ``AttributionMismatch`` otherwise, so reaching the summary *is* the
   proof);
-* ``overhead`` — wall-clock seconds for a fast-engine sweep with no sink
-  attached vs. the same sweep with attribution, demonstrating that the
-  disabled path pays nothing (attribution is a post-pass; disabled runs
-  execute the PR-1 kernel unchanged).
+* ``overhead`` — wall-clock seconds for three fast-engine passes of one
+  trace with no sink attached vs. the same passes with attribution (the
+  kernel logging its decisions and the sink classifying them); without a
+  sink nothing is logged and the kernel's hit paths are unchanged.
 
 Usage::
 

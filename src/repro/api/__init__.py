@@ -344,9 +344,7 @@ def profile(
     Traces one roundtrip and simulates it with an
     :class:`repro.obs.Attribution` sink attached; the attributed totals
     are verified against the engine's measured stalls
-    (:class:`AttributionMismatch` otherwise).  Attribution needs
-    per-function span replay, so the engine must resolve to ``fast`` or
-    ``reference``.
+    (:class:`AttributionMismatch` otherwise).
     """
     from repro.harness.profile import profile_cell
 

@@ -123,11 +123,7 @@ class AnalyzeSpec:
 
 @dataclass(frozen=True)
 class ProfileSpec:
-    """One stall-attribution request.
-
-    Attribution needs per-function span replay — ``engine`` must
-    resolve to an interpreting engine (``fast`` or ``reference``).
-    """
+    """One stall-attribution request."""
 
     stack: str = "tcpip"
     config: str = "STD"

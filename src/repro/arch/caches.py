@@ -86,6 +86,11 @@ class DirectMappedCache:
         block = self.block_of(addr)
         return self._tags[self._index(block)] == block
 
+    def occupant(self, addr: int) -> int:
+        """The block held in ``addr``'s set, -1 if the set is empty."""
+        tag = self._tags[self._index(self.block_of(addr))]
+        return -1 if tag is None else tag
+
     def access(self, addr: int, *, write: bool = False,
                allocate: bool = True) -> bool:
         """Access the byte at ``addr``; returns True on hit.

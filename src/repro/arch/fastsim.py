@@ -14,11 +14,11 @@ tree as the oracle (see ``tests/arch/test_fastsim.py``).
 
 Two structural accelerations on top of the fused loops:
 
-* **derived columns** — per (trace, block size) the byte-address columns
-  are pre-divided into cache-block columns once and cached on the trace
-  (``iblks``; ``dcols`` encodes read blocks as ``b``, write blocks as
-  ``-2 - b`` and non-memory entries as ``-1``), so the inner loop does no
-  division and no flag tests;
+* **block columns** — per (trace, geometry) the fetch stream is
+  run-length encoded into cache-block runs (:func:`fetch_runs`; only a
+  run's first fetch can miss) and the data accesses into one dense column
+  of blocks (:func:`data_blocks`; writes encoded as ``-2 - b``), cached on
+  the trace, so the inner loop does no division and no flag tests;
 * **steady-state convergence** — ``simulate_cold_and_steady`` runs the
   cold pass, then measures warm passes while checking whether the pass
   left the hierarchy state exactly as it found it (tags, ever-resident
@@ -37,7 +37,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.arch.caches import CacheStats
 from repro.arch.cpu import CpuConfig, CpuStats
 from repro.arch.isa import Op, TraceEntry
-from repro.arch.memory import MemoryConfig, MemoryStats
+from repro.arch.memory import (BCACHE_HIT, BCACHE_MISS, FETCH, FORWARD, NONE, READ,
+                               STREAM, WRITE, MemoryConfig, MemoryStats)
 from repro.arch.packed import (
     FLAG_DWRITE,
     IS_BRANCH,
@@ -73,35 +74,6 @@ def as_packed(trace: Traceable) -> PackedTrace:
     if isinstance(trace, PackedTrace):
         return trace
     return PackedTrace.from_entries(trace)
-
-
-def derived_columns(
-    packed: PackedTrace, block_size: int, icache_blocks: int
-) -> Tuple[array, array, array]:
-    """Per-(trace, geometry) derived columns, cached on the trace.
-
-    ``iblks`` holds the fetch block number per entry and ``iidxs`` its
-    direct-mapped i-cache index (precomputed so the overwhelmingly common
-    i-cache-hit path does one list probe and no arithmetic); ``dcols``
-    encodes the data access as a read block (``b``), a write block
-    (``-2 - b``), or no access (``-1``).
-    """
-    key = (block_size, icache_blocks)
-    cached = packed._derived.get(key)
-    if cached is not None:
-        return cached
-    iblks = array("q", [pc // block_size for pc in packed.pcs])
-    iidxs = array("q", [blk % icache_blocks for blk in iblks])
-    dwrite = FLAG_DWRITE
-    dcols = array(
-        "q",
-        [
-            -1 if d < 0 else (-2 - d // block_size if fl & dwrite else d // block_size)
-            for d, fl in zip(packed.daddrs, packed.flags)
-        ],
-    )
-    packed._derived[key] = (iblks, iidxs, dcols)
-    return iblks, iidxs, dcols
 
 
 def fetch_runs(
@@ -245,12 +217,12 @@ class FastMachine:
     Like the reference, the hierarchy persists across calls so a warm-up
     can precede the measured run; a fresh instance is a cold machine.
 
-    An optional ``sink`` (see :class:`repro.obs.Attribution`) observes every
-    pass *after* the fused kernel has run — attribution is a post-pass over
-    the packed columns, so the inner loops carry no instrumentation and a
-    machine without a sink is byte-for-byte the PR-1 fast path.  After each
-    measured run the attributed stall total is checked against the
-    kernel's.
+    An optional ``sink`` (see :class:`repro.obs.Attribution`) receives
+    every pass's decision log (see :mod:`repro.arch.memory`): the kernel
+    appends a record on its miss and store-retire paths only, and the sink
+    classifies the log.  After each measured run the attributed stall total
+    is checked against the kernel's.  Without a sink nothing is logged and
+    the hit paths are untouched.
     """
 
     def __init__(
@@ -313,8 +285,9 @@ class FastMachine:
     # the fused memory pass                                              #
     # ------------------------------------------------------------------ #
 
-    def _mem_pass(self, packed: PackedTrace, track: bool = False) -> bool:
-        """Run one pass of the trace through the hierarchy.
+    def _mem_pass(self, packed: PackedTrace, track: bool = False, log=None) -> bool:
+        """Run one pass of the trace through the hierarchy, appending its
+        decision records to ``log`` if one is given.
 
         With ``track``, returns True when any further pass is guaranteed
         to repeat this one's counters exactly.  That holds when the pass
@@ -356,6 +329,7 @@ class FastMachine:
         b_n = self._b_nblocks
         sb_block = self._sb_block
         sb_was_miss = self._sb_was_miss
+        record = None if log is None else log.append
 
         (i_acc, i_miss, i_repl, d_acc, d_miss, d_repl,
          b_acc, b_miss, b_repl, wb_acc, wb_miss,
@@ -389,8 +363,9 @@ class FastMachine:
                 i_miss += 1
                 if blk in i_ever:
                     i_repl += 1
+                victim = itags[idx]
                 if track and idx not in i_old:
-                    i_old[idx] = itags[idx]
+                    i_old[idx] = victim
                 itags[idx] = blk
                 i_ever_add(blk)
                 nblk = blk + 1
@@ -406,11 +381,13 @@ class FastMachine:
                     sb_block = -1
                     sb_hits += 1
                     stall += stream_hit
+                    served, late = STREAM, sb_was_miss
                     if sb_was_miss:
                         stall += stream_extra
                 else:
                     b_acc += 1
                     bidx = blk % b_n
+                    served, late = BCACHE_HIT, False
                     if btags[bidx] == blk:
                         stall += bc_hit
                     else:
@@ -422,13 +399,16 @@ class FastMachine:
                         btags[bidx] = blk
                         b_ever_add(blk)
                         stall += main
+                        served = BCACHE_MISS
                 # sequential prefetch of the successor block (overlapped:
                 # a b-cache access now, any miss cost charged on use)
+                prefetch = NONE
                 if itags[nblk % i_n] != nblk:
                     b_acc += 1
                     bidx = nblk % b_n
                     if btags[bidx] == nblk:
                         sb_was_miss = False
+                        prefetch = BCACHE_HIT
                     else:
                         b_miss += 1
                         if nblk in b_ever:
@@ -438,9 +418,12 @@ class FastMachine:
                         btags[bidx] = nblk
                         b_ever_add(nblk)
                         sb_was_miss = True
+                        prefetch = BCACHE_MISS
                     if track:
                         sb_init_live = False
                     sb_block = nblk
+                if record is not None:
+                    record((FETCH, blk, victim, served, late, prefetch))
 
             # ---- data accesses of the run's body, in trace order ------- #
             if not cnt:
@@ -464,11 +447,13 @@ class FastMachine:
                         d_ever_add(d)
                         if d in wb_set:
                             stall += fwd
+                            served = FORWARD
                         else:
                             b_acc += 1
                             bidx = d % b_n
                             if btags[bidx] == d:
                                 stall += bc_hit
+                                served = BCACHE_HIT
                             else:
                                 b_miss += 1
                                 if d in b_ever:
@@ -478,6 +463,9 @@ class FastMachine:
                                 btags[bidx] = d
                                 b_ever_add(d)
                                 stall += main
+                                served = BCACHE_MISS
+                        if record is not None:
+                            record((READ, d, served))
                 else:
                     # store: write-through via the merging write buffer
                     w = -2 - d
@@ -522,6 +510,8 @@ class FastMachine:
                                 b_ever_add(w)
                         if overflowed:
                             stall += wb_full
+                        if record is not None:
+                            record((WRITE, w, w_alloc, overflowed))
 
         self._sb_block = sb_block
         self._sb_was_miss = sb_was_miss
@@ -616,9 +606,10 @@ class FastMachine:
     def warm_up(self, trace: Traceable) -> None:
         """Run a trace purely for its cache side effects."""
         packed = as_packed(trace)
-        self._mem_pass(packed)
-        if self.sink is not None:
-            self.sink.observe_pass(packed, measure=False)
+        log = None if self.sink is None else []
+        self._mem_pass(packed, log=log)
+        if log is not None:
+            self.sink.observe_pass(packed, log, measure=False)
 
     def mem_delta(self, trace: Traceable) -> List[int]:
         """One raw memory pass, returning the 15-counter delta.
@@ -636,10 +627,11 @@ class FastMachine:
         """Simulate one trace, returning stats for exactly that trace."""
         packed = as_packed(trace)
         before = list(self._c)
-        self._mem_pass(packed)
+        log = None if self.sink is None else []
+        self._mem_pass(packed, log=log)
         delta = [a - b for a, b in zip(self._c, before)]
-        if self.sink is not None:
-            attributed = self.sink.observe_pass(packed, measure=True)
+        if log is not None:
+            attributed = self.sink.observe_pass(packed, log, measure=True)
             if attributed != delta[11]:
                 from repro.obs.attribution import AttributionMismatch
 

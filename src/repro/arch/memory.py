@@ -14,15 +14,36 @@ The model charges stall cycles for primary-cache misses (b-cache hit
 latency, nominally 10 cycles) and for b-cache misses (main-memory latency).
 Summing those stalls over a trace and dividing by the trace length yields
 the paper's mCPI.
+
+Both engines can log their decisions for an attribution sink
+(:class:`repro.obs.Attribution`): one record per decision a hit never
+makes, naming blocks, not trace positions (a hit changes no cache state,
+so a record belongs to the next access of its block):
+
+* ``(FETCH, block, victim, served, late, prefetch)`` — an i-cache miss:
+  the block it evicted (-1 if none), ``STREAM``, ``BCACHE_HIT`` or
+  ``BCACHE_MISS`` for what served it, whether a consumed prefetch had
+  missed the b-cache, and ``NONE``, ``BCACHE_HIT`` or ``BCACHE_MISS`` for
+  the successor prefetch;
+* ``(READ, block, served)`` — a d-cache read miss served by ``FORWARD``
+  (store->load forwarding), ``BCACHE_HIT`` or ``BCACHE_MISS``;
+* ``(WRITE, block, allocating, overflowed)`` — a store that did not merge:
+  whether its retirement allocates in the b-cache (a streaming store goes
+  around it), and whether it overflowed the write buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.arch.caches import CacheStats, DirectMappedCache, StreamBuffer, WriteBuffer
 from repro.arch.isa import TraceEntry
+
+#: decision-log record kinds and outcome codes (see the module docstring)
+FETCH, READ, WRITE = "fetch", "read", "write"
+NONE, STREAM, FORWARD = "none", "stream", "forward"
+BCACHE_HIT, BCACHE_MISS = "b-hit", "b-miss"
 
 
 @dataclass(frozen=True)
@@ -117,6 +138,9 @@ class MemoryHierarchy:
     warm-up roundtrips through the same instance and reports steady-state
     deltas, or starts from a fresh instance to reproduce the paper's
     cold-start single-trace cache statistics (Table 6).
+
+    While ``log`` is a list, every miss decision is appended to it as a
+    decision-log record (see the module docstring).
     """
 
     def __init__(self, config: Optional[MemoryConfig] = None) -> None:
@@ -134,6 +158,7 @@ class MemoryHierarchy:
         self.stream_buffer = StreamBuffer(cfg.block_size)
         self._stall_cycles = 0
         self._instructions = 0
+        self.log: Optional[list] = None
 
     # ------------------------------------------------------------------ #
     # observation                                                        #
@@ -193,39 +218,45 @@ class MemoryHierarchy:
     # internals                                                          #
     # ------------------------------------------------------------------ #
 
-    def _bcache_latency(self, addr: int, *, write: bool = False) -> int:
-        if self.bcache.access(addr, write=write):
-            return self.config.bcache_hit_cycles
-        return self.config.main_memory_cycles
+    def _bcache(self, addr: int) -> Tuple[str, int]:
+        """A primary miss's b-cache access: its outcome and stall cycles."""
+        if self.bcache.access(addr):
+            return BCACHE_HIT, self.config.bcache_hit_cycles
+        return BCACHE_MISS, self.config.main_memory_cycles
 
     def _fetch(self, pc: int) -> int:
         cfg = self.config
+        log = self.log
+        victim = -1 if log is None else self.icache.occupant(pc)
         if self.icache.access(pc):
             return 0
-        block_addr = (pc // cfg.block_size) * cfg.block_size
-        next_block = block_addr + cfg.block_size
+        block = pc // cfg.block_size
         probed = self.stream_buffer.probe(pc)
         if probed is not None:
             self.icache.install(pc)
-            self._prefetch(next_block)
-            stall = cfg.stream_hit_cycles
+            served, stall = STREAM, cfg.stream_hit_cycles
             if probed:
                 # the prefetch itself had missed the b-cache: the hidden
                 # portion of the main-memory latency still shows up here
                 stall += cfg.main_memory_cycles - cfg.bcache_hit_cycles
-            return stall
-        stall = self._bcache_latency(pc)
-        self._prefetch(next_block)
+        else:
+            served, stall = self._bcache(pc)
+        prefetch = self._prefetch((block + 1) * cfg.block_size)
+        if log is not None:
+            log.append((FETCH, block, victim, served, bool(probed), prefetch))
         return stall
 
-    def _prefetch(self, block_start: int) -> None:
+    def _prefetch(self, block_start: int) -> str:
         """Overlapped sequential prefetch: costs a b-cache access, no
-        immediate stall (a b-cache miss is charged at consumption)."""
-        if not self.icache.contains(block_start):
-            hit = self.bcache.access(block_start)
-            self.stream_buffer.prefetch(
-                block_start // self.config.block_size, bcache_miss=not hit
-            )
+        immediate stall (a b-cache miss is charged at consumption).
+        Returns the prefetch's decision-log outcome."""
+        if self.icache.contains(block_start):
+            return NONE
+        hit = self.bcache.access(block_start)
+        self.stream_buffer.prefetch(
+            block_start // self.config.block_size, bcache_miss=not hit
+        )
+        return BCACHE_HIT if hit else BCACHE_MISS
 
     def _read(self, addr: int) -> int:
         if self.dcache.access(addr):
@@ -234,22 +265,26 @@ class MemoryHierarchy:
         # forwarding); the pending store has to drain first, so this is
         # nearly as expensive as the b-cache access it avoids.
         if self.write_buffer.contains(addr):
-            return self.config.write_forward_cycles
-        return self._bcache_latency(addr)
+            served, stall = FORWARD, self.config.write_forward_cycles
+        else:
+            served, stall = self._bcache(addr)
+        if self.log is not None:
+            self.log.append((READ, addr // self.config.block_size, served))
+        return stall
 
     def _write(self, addr: int) -> int:
         # Write-through, no write-allocate: the d-cache tags are unaffected;
         # the store goes to the write buffer.
+        cfg = self.config
         evicted_before = self.write_buffer.evictions
         if self.write_buffer.write(addr):
             return 0
         # a non-allocating (streaming) store still probes the b-cache —
         # the retirement traffic is real — but goes around it on a miss
-        self.bcache.access(
-            addr, write=True,
-            allocate=not self.config.non_allocating_writes,
-        )
+        allocating = not cfg.non_allocating_writes
+        self.bcache.access(addr, write=True, allocate=allocating)
         # The retired write only stalls the CPU when the buffer overflowed.
-        if self.write_buffer.evictions > evicted_before:
-            return self.config.write_buffer_full_cycles
-        return 0
+        overflowed = self.write_buffer.evictions > evicted_before
+        if self.log is not None:
+            self.log.append((WRITE, addr // cfg.block_size, allocating, overflowed))
+        return cfg.write_buffer_full_cycles if overflowed else 0

@@ -68,7 +68,7 @@ class PackedTrace:
         self._fingerprint: Optional[str] = None
         self._cpu_key: Optional[str] = None
         #: derived-column cache (block-number columns, keyed by block size);
-        #: see :func:`repro.arch.fastsim.derived_columns`
+        #: see :func:`repro.arch.fastsim.data_blocks`
         self._derived: dict = {}
         #: cache for derivations that depend only on ``pcs``/``ops``; a
         #: template rebind points every sibling trace (same code, different

@@ -80,11 +80,11 @@ class MachineSimulator:
     freshly constructed simulator reproduces cold-start cache statistics
     (Table 6).
 
-    An optional ``sink`` (see :class:`repro.obs.Attribution`) observes every
-    pass: warm-ups advance it silently, measured runs are attributed stall
-    cycle by stall cycle, and the attributed total is checked against the
-    measured total after each run.  With no sink attached the simulator
-    does no extra work.
+    An optional ``sink`` (see :class:`repro.obs.Attribution`) receives
+    every pass's decision log (see :mod:`repro.arch.memory`): warm-ups
+    advance it silently, measured runs are attributed stall cycle by stall
+    cycle, and the attributed total is checked against the measured total
+    after each run.  With no sink attached nothing is logged.
     """
 
     def __init__(
@@ -98,11 +98,12 @@ class MachineSimulator:
     def run(self, trace: Sequence[TraceEntry]) -> SimResult:
         """Simulate one trace, returning stats for exactly that trace."""
         before = self.memory.stats
+        log = self.memory.log = None if self.sink is None else []
         self.memory.run(trace)
         mem = self.memory.stats.delta(before)
         cpu = self.cpu.run(trace)
-        if self.sink is not None:
-            attributed = self.sink.observe_pass(trace, measure=True)
+        if log is not None:
+            attributed = self.sink.observe_pass(trace, log, measure=True)
             if attributed != mem.stall_cycles:
                 from repro.obs.attribution import AttributionMismatch
 
@@ -114,12 +115,13 @@ class MachineSimulator:
 
     def warm_up(self, trace: Iterable[TraceEntry]) -> None:
         """Run a trace purely for its cache side effects."""
-        if self.sink is not None:
+        log = self.memory.log = None if self.sink is None else []
+        if log is not None:
             trace = list(trace)
         for entry in trace:
             self.memory.step(entry)
-        if self.sink is not None:
-            self.sink.observe_pass(trace, measure=False)
+        if log is not None:
+            self.sink.observe_pass(trace, log, measure=False)
 
     def run_steady_state(
         self, trace: Sequence[TraceEntry], *, warmup_rounds: int = 2

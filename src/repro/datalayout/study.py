@@ -5,12 +5,12 @@ is re-measured under each :class:`~repro.datalayout.techniques.
 DataTechnique`.  A fresh build is layout-transformed, walked and digested
 once per distinct layout transform — ``baseline`` and the store-only
 techniques share the untransformed image, and ``split`` and ``all`` share
-the split one — and each technique's store behaviour is then simulated on
-that image by the chosen engine, attributed stall by stall through the
-:class:`~repro.obs.attribution.Attribution` replica (whose totals are
-checked against the engine — :class:`AttributionMismatch` otherwise), and
-bracketed by the abstract-interpretation bounds of
-:mod:`repro.analysis.bounds` under the same store behaviour.
+the split one — and each technique's store behaviour is then measured on
+that image by one attributed machine of the chosen engine (a cold run,
+one warm-up, a steady run; the :class:`~repro.obs.attribution.Attribution`
+sink classifies the engine's own decision log and its totals are checked
+against the engine's), and bracketed by the abstract-interpretation
+bounds of :mod:`repro.analysis.bounds` under the same store behaviour.
 
 All engines are bit-identical, so the study's numbers are
 engine-independent (the differential tests hold fast against the
@@ -29,7 +29,6 @@ from repro.datalayout.transforms import LayoutReport, apply_data_layout
 
 if TYPE_CHECKING:
     from repro.analysis.bounds import TraceDigest
-    from repro.arch.simulator import AlphaConfig, SimResult
     from repro.core.program import Program
     from repro.core.walker import WalkResult
     from repro.harness.configs import Section2Options
@@ -208,20 +207,6 @@ class DatalayoutStudy:
         ]
 
 
-def _measure(
-    engine: str, walk: WalkResult, machine_cfg: AlphaConfig
-) -> Tuple[SimResult, SimResult]:
-    """(cold, steady) engine results for one walked trace."""
-    from repro.arch.simcache import simulate_cold_and_steady_cached
-    from repro.arch.simulator import MachineSimulator
-
-    if engine == "reference":
-        cold = MachineSimulator(machine_cfg).run(walk.trace)
-        steady = MachineSimulator(machine_cfg).run_steady_state(walk.trace)
-        return cold, steady
-    return simulate_cold_and_steady_cached(walk.packed, machine_cfg)
-
-
 @dataclass(frozen=True)
 class _Image:
     """One cell's build under one layout transform: transformed, walked
@@ -278,27 +263,16 @@ def _measure_cell(
     technique: DataTechnique,
     engine: str,
 ) -> DatalayoutCell:
-    """Measure one technique's store behaviour on its layout's image."""
+    """Measure one technique's store behaviour on its layout's image: one
+    attributed machine, run cold, warmed up once, then run steady."""
     from repro.analysis.bounds import bounds_from_digest
     from repro.arch.simulator import AlphaConfig
-    from repro.obs import Attribution
+    from repro.harness.profile import attribute_passes
 
     mem = technique.memory()
-    machine_cfg = AlphaConfig(memory=mem)
-    cold, steady = _measure(engine, image.walk, machine_cfg)
-
-    # the attribution replica re-derives both measurements bucket by
-    # bucket over the engines' pass structure (cold, one warm-up, steady);
-    # verify_total is the AttributionMismatch invariant
-    packed = image.walk.packed
-    sink = Attribution(image.program, config=machine_cfg)
-    sink.observe_pass(packed, measure=True)
-    cold_report = sink.harvest("cold")
-    cold_report.verify_total(cold.memory.stall_cycles)
-    sink.observe_pass(packed, measure=False)
-    sink.observe_pass(packed, measure=True)
-    steady_report = sink.harvest("steady")
-    steady_report.verify_total(steady.memory.stall_cycles)
+    cold, cold_report, steady, steady_report = attribute_passes(
+        image.walk, image.program, engine=engine, config=AlphaConfig(memory=mem)
+    )
 
     bounds = bounds_from_digest(
         image.digest, image.placements, stack=stack, config=config, memory=mem

@@ -2,25 +2,25 @@
 
 The paper reasons about *which code* pays the memory penalties (TCP's big
 functions vs RPC's many small ones, library functions evicted between
-invocations).  This module makes that reasoning mechanical: it replays a
-trace through the machine model one instruction at a time and attributes
-every stall cycle, miss and instruction to the function that owns the
-address — the profile a developer would want before choosing which
+invocations).  This module makes that reasoning mechanical: it runs a
+trace through an engine with an :class:`repro.obs.Attribution` sink
+attached, which classifies the engine's own decision log, and reports
+every stall cycle, miss and instruction against the function that owns
+the address — the profile a developer would want before choosing which
 technique to apply where.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from repro.arch.fastsim import FastMachine
-from repro.arch.isa import TraceEntry
-from repro.arch.memory import MemoryHierarchy
+from repro.arch.fastsim import FastMachine, Traceable
 from repro.arch.simulator import AlphaConfig, MachineSimulator, SimResult
 from repro.core.program import Program
-from repro.core.walker import Walker
-from repro.obs import Attribution, AttributionReport, ConflictMatrix
+from repro.core.walker import Walker, WalkResult
+from repro.obs import Attribution, AttributionReport, ConflictMatrix, UNATTRIBUTED
+from repro.obs.attribution import ICACHE
 from repro.trace.tracer import call_counts
 
 
@@ -70,46 +70,31 @@ class ProfileReport:
 
 
 def profile_trace(
-    trace: Sequence[TraceEntry],
+    trace: Traceable,
     program: Program,
     *,
     config: Optional[AlphaConfig] = None,
     warmup_rounds: int = 2,
 ) -> ProfileReport:
-    """Attribute a steady-state run's stalls to the owning functions."""
+    """Attribute a steady-state run's stalls to the owning functions: an
+    attributed fast-engine pass after ``warmup_rounds`` warm-ups."""
     cfg = config or AlphaConfig()
-    memory = MemoryHierarchy(cfg.memory)
-    for _ in range(warmup_rounds):
-        for entry in trace:
-            memory.step(entry)
-
-    ranges = program.occupied_ranges()
-
-    def owner(pc: int) -> Optional[str]:
-        lo, hi = 0, len(ranges) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            start, end, name = ranges[mid]
-            if pc < start:
-                hi = mid - 1
-            elif pc >= end:
-                lo = mid + 1
-            else:
-                return name
-        return None
-
+    sink = Attribution(program, config=cfg)
+    FastMachine(cfg, sink=sink).run_steady_state(trace, warmup_rounds=warmup_rounds)
+    attributed = sink.harvest("steady")
     report = ProfileReport()
-    for entry in trace:
-        misses_before = memory.icache.stats.misses
-        stall = memory.step(entry)
-        name = owner(entry.pc)
-        if name is None:
-            report.unattributed_instructions += 1
-            continue
-        prof = report.functions.setdefault(name, FunctionProfile(name))
-        prof.instructions += 1
-        prof.stall_cycles += stall
-        prof.icache_misses += memory.icache.stats.misses - misses_before
+    for name, count in attributed.instructions.items():
+        if name == UNATTRIBUTED:
+            report.unattributed_instructions = count
+        else:
+            report.functions[name] = FunctionProfile(name, count)
+    for (_layer, name, cache, _kind), bucket in attributed.buckets.items():
+        prof = report.functions.get(name)
+        if prof is not None:
+            prof.stall_cycles += bucket.stall_cycles
+            if cache == ICACHE:
+                # exactly one i-cache charge per i-cache miss
+                prof.icache_misses += bucket.events
     return report
 
 
@@ -192,6 +177,32 @@ class CellProfile:
         return out
 
 
+def attribute_passes(
+    walk: WalkResult,
+    program: Program,
+    *,
+    engine: str = "fast",
+    config: Optional[AlphaConfig] = None,
+    warmup_rounds: int = 2,
+) -> Tuple[SimResult, AttributionReport, SimResult, AttributionReport]:
+    """Run ``walk`` on one attributed machine of ``engine``: a cold
+    measured run, ``warmup_rounds - 1`` warm-ups, then a steady measured
+    run — the engines' own pass structure, so the results equal an
+    unattributed run's.  Returns the cold result and report, then the
+    steady result and report."""
+    sink = Attribution(program, config=config)
+    if engine == "reference":
+        machine, trace = MachineSimulator(config, sink=sink), walk.trace
+    else:
+        machine, trace = FastMachine(config, sink=sink), walk.packed
+    cold = machine.run(trace)
+    cold_report = sink.harvest("cold")
+    for _ in range(warmup_rounds - 1):
+        machine.warm_up(trace)
+    steady = machine.run(trace)
+    return cold, cold_report, steady, sink.harvest("steady")
+
+
 def profile_cell(
     stack: str,
     config: str,
@@ -204,11 +215,11 @@ def profile_cell(
 
     Runs the standard experiment procedure for a single sample with an
     attribution sink attached: the cold measured pass is harvested as the
-    ``cold`` report, ``warmup_rounds - 1`` warm passes advance the replica
-    silently, and the final measured pass is harvested as ``steady`` —
-    the same pass structure the engines use, so the simulated numbers are
-    identical to an unprofiled run and the attribution invariant is
-    checked after every measured pass.
+    ``cold`` report, ``warmup_rounds - 1`` warm passes advance the sink's
+    shadows silently, and the final measured pass is harvested as
+    ``steady`` — the same pass structure the engines use, so the simulated
+    numbers are identical to an unprofiled run and the attribution
+    invariant is checked after every measured pass.
     """
     from repro.api.settings import Settings
     from repro.harness.configs import build_configured_program
@@ -220,20 +231,9 @@ def profile_cell(
     events, data_env = exp.capture_roundtrip(seed)
     build = build_configured_program(stack, config)
     walk = Walker(build.program, data_env).walk(list(events))
-
-    sink = Attribution(build.program)
-    machine = (
-        FastMachine(sink=sink)
-        if engine == "fast"
-        else MachineSimulator(sink=sink)
+    cold_result, cold, steady_result, steady = attribute_passes(
+        walk, build.program, engine=engine, warmup_rounds=warmup_rounds
     )
-    trace = walk.packed if engine == "fast" else walk.trace
-    cold_result = machine.run(trace)
-    cold = sink.harvest("cold")
-    for _ in range(warmup_rounds - 1):
-        machine.warm_up(trace)
-    steady_result = machine.run(trace)
-    steady = sink.harvest("steady")
 
     return CellProfile(
         stack=stack,

@@ -3,11 +3,11 @@
 The simulation engines report aggregate mCPI; this package decomposes it.
 :class:`Attribution` is a sink either engine accepts (``sink=`` on
 :class:`~repro.arch.simulator.MachineSimulator` and
-:class:`~repro.arch.fastsim.FastMachine`); it replays measured passes
-through an exact hierarchy replica and buckets every stall cycle by
-(protocol layer, function, cache level, miss kind), with the invariant —
-enforced at run time — that the bucket sums equal the engine's reported
-stall totals bit for bit.  See ``docs/methodology.md``.
+:class:`~repro.arch.fastsim.FastMachine`); it classifies the decisions the
+engine logs on every pass and buckets every stall cycle by (protocol
+layer, function, cache level, miss kind), with the invariant — enforced
+at run time — that the bucket sums equal the engine's reported stall
+totals bit for bit.  See ``docs/methodology.md``.
 """
 
 from repro.obs.attribution import (

@@ -2,9 +2,11 @@
 
 The engines in :mod:`repro.arch` report one aggregate number per run —
 ``stall_cycles`` (and from it mCPI).  This module decomposes that number
-without perturbing it: an :class:`Attribution` sink replays a trace through
-an exact replica of the memory hierarchy and charges every stall cycle to a
-bucket keyed by
+without perturbing it: with an :class:`Attribution` sink attached, an
+engine logs every decision a hit never makes (the decision log of
+:mod:`repro.arch.memory`: each i-cache miss, d-cache read miss and
+unmerged store, with what served it), and the sink charges every stall
+cycle of that log to a bucket keyed by
 
 ``(protocol layer, function, cache level, miss kind)``
 
@@ -19,23 +21,18 @@ write buffer:
 * ``write-buffer`` — stalls charged by the write buffer (store->load
   forwarding drains and overflow retirements).
 
-The replica makes the *same decisions* as
-:class:`repro.arch.memory.MemoryHierarchy` and the fused kernel in
-:mod:`repro.arch.fastsim` (which are bit-identical to each other), so the
-bucket sums equal the engine's reported stall total exactly — an invariant
-the engines enforce at run time whenever a sink is attached
-(:class:`AttributionMismatch`) and the test suite checks across the whole
-Table-4 sweep.  Like the fused kernel, it replays the fetch stream one
-*run* at a time (consecutive instructions fetching from one cache block,
-of which only the first can miss) with the run's data accesses in trace
-order; the runs, their owning functions and the per-function instruction
-counts are derived once per observed trace, not on every pass.
-
-Attribution is strictly a *post-pass*: the fast kernel's inner loops do not
-gain a single branch.  ``FastMachine`` runs its fused pass untouched and
-only afterwards hands the packed trace columns to the sink; the reference
-simulator likewise runs first and replays after.  With no sink attached,
-neither engine does any extra work.
+The sink decides no hit or miss: the engines are the only code that does.
+It walks the trace beside the log, one fetch *run* at a time (consecutive
+instructions fetching from one cache block, of which only the first can
+miss), to learn which function issued each logged access and to keep the
+fully-associative shadows that split conflict from capacity.  The i- and
+d-shadows follow the trace; the b-shadow and the b-cache's ever-resident
+set follow the log.  A hit changes no hierarchy state, so a record belongs
+to the next access of its block; a record the walk cannot match raises
+:class:`AttributionMismatch` naming it, and so does a measured pass whose
+attributed total differs from the engine's.  Both engines log identical
+records, so their bucket decompositions agree bit for bit.  With no sink
+attached, neither engine logs anything.
 """
 
 from __future__ import annotations
@@ -43,18 +40,15 @@ from __future__ import annotations
 import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.arch.fastsim import as_packed, derived_columns
-from repro.arch.isa import TraceEntry
-from repro.arch.memory import MemoryConfig
-from repro.arch.packed import PackedTrace
+from repro.arch.fastsim import Traceable, as_packed
+from repro.arch.memory import BCACHE_HIT, FETCH, FORWARD, NONE, READ, STREAM
+from repro.arch.packed import FLAG_DWRITE
 from repro.arch.simulator import AlphaConfig
 from repro.core.program import Program
 from repro.obs.conflicts import ConflictMatrix
 from repro.obs.layers import layer_of
-
-Traceable = Union[PackedTrace, Sequence[TraceEntry]]
 
 #: cache levels a stall cycle can be charged to
 ICACHE = "icache"
@@ -77,11 +71,11 @@ UNATTRIBUTED = "(unattributed)"
 
 
 class AttributionMismatch(AssertionError):
-    """The attributed stall sum diverged from the engine's reported total.
-
-    This cannot happen while the replica and the engines implement the same
-    hierarchy; it exists so that any future drift fails loudly instead of
-    producing silently wrong profiles.
+    """A decision log the trace cannot account for: a record no access of
+    the pass matches, or an attributed stall sum that differs from the
+    engine's reported total.  Neither happens while the engines log every
+    decision they make; any drift fails loudly instead of producing
+    silently wrong profiles.
     """
 
 
@@ -139,11 +133,24 @@ def _touch(shadow: OrderedDict, capacity: int, block: int) -> bool:
     return False
 
 
-#: one fetch run of the replay: its i-block, that block's direct-mapped
-#: i-cache index, the owner of its first instruction, and its data accesses
-#: in trace order as ``(access, owner)`` pairs, where ``access`` is a read
-#: block ``b`` or a write block encoded ``-2 - b`` (fastsim's ``dcols``)
-FetchRun = Tuple[int, int, str, List[Tuple[int, str]]]
+#: one fetch run of the replay: its i-block, the owner of its first
+#: instruction, and its data accesses in trace order as ``(access, owner)``
+#: pairs, where ``access`` is a read block ``b`` or a write block encoded
+#: ``-2 - b`` (fastsim's ``data_blocks``)
+FetchRun = Tuple[int, str, List[Tuple[int, str]]]
+
+
+def _pending(log: Iterable[tuple]) -> Iterator[Tuple[Optional[tuple], int, int]]:
+    """Each decision record with the fetch block and the data access
+    (encoded as in :data:`FetchRun`) it belongs to, then a sentinel: -1
+    matches no access of either kind."""
+    for record in log:
+        kind, block = record[0], record[1]
+        if kind == FETCH:
+            yield record, block, -1
+        else:
+            yield record, -1, block if kind == READ else -2 - block
+    yield None, -1, -1
 
 
 class Attribution:
@@ -159,11 +166,11 @@ class Attribution:
         machine.run(trace)                              # steady, measured
         steady = sink.harvest("steady")
 
-    The sink mirrors the machine's hierarchy state pass for pass (warm-ups
-    advance the replica without recording), so its buckets always describe
+    The machine hands the sink every pass with its decision log (warm-ups
+    advance the shadows without recording), so the buckets always describe
     exactly the passes the engine measured.  :meth:`harvest` snapshots the
     recorded buckets into an :class:`AttributionReport` and clears them,
-    keeping the hierarchy state for subsequent passes.
+    keeping the shadows for subsequent passes.
     """
 
     def __init__(
@@ -172,46 +179,30 @@ class Attribution:
         config: Optional[AlphaConfig] = None,
     ) -> None:
         self.config = config or AlphaConfig()
-        mem: MemoryConfig = self.config.memory
+        mem = self.config.memory
         self._block_size = mem.block_size
         self._i_n = mem.icache_size // mem.block_size
         self._d_n = mem.dcache_size // mem.block_size
         self._b_n = mem.bcache_size // mem.block_size
-        self._wb_depth = mem.write_buffer_depth
         self._owner = _OwnerMap(program)
         #: the last trace observed, its length and its replay events
         self._replay: Optional[
             Tuple[Traceable, int, Tuple[List[FetchRun], Dict[str, int]]]
         ] = None
-        self.reset_state()
-        self._clear_recording()
-
-    # ------------------------------------------------------------------ #
-    # state management                                                   #
-    # ------------------------------------------------------------------ #
-
-    def reset_state(self) -> None:
-        """Return the replica hierarchy (and shadows) to the cold state."""
-        self._itags: List[int] = [-1] * self._i_n
-        self._dtags: List[int] = [-1] * self._d_n
-        self._btags: List[int] = [-1] * self._b_n
         self._i_ever: set = set()
         self._d_ever: set = set()
         self._b_ever: set = set()
-        self._wb: List[int] = []
-        self._wb_set: set = set()
-        #: write coalescing only: entry pair id -> blocks sharing that slot
-        self._wb_pairs: Dict[int, List[int]] = {}
-        self._sb_block = -1
         #: miss kind of the pending prefetch's b-cache miss (None = it hit)
         self._sb_kind: Optional[str] = None
         #: fully-associative LRU shadows for conflict/capacity splitting
         self._i_shadow: OrderedDict = OrderedDict()
         self._d_shadow: OrderedDict = OrderedDict()
         self._b_shadow: OrderedDict = OrderedDict()
+        self._clear_recording()
 
     def _clear_recording(self) -> None:
-        self.buckets: Dict[BucketKey, Bucket] = {}
+        #: (function, cache, kind) -> bucket; the layer is added at harvest
+        self._buckets: Dict[Tuple[str, str, str], Bucket] = {}
         self.instructions: Dict[str, int] = {}
         self.conflicts = ConflictMatrix()
         self.total_stall_cycles = 0
@@ -222,14 +213,17 @@ class Attribution:
     # recording                                                          #
     # ------------------------------------------------------------------ #
 
-    def _charge(self, fn: str, cache: str, kind: str, cycles: int) -> None:
-        key = (layer_of(fn), fn, cache, kind)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = self.buckets[key] = Bucket()
-        bucket.stall_cycles += cycles
-        bucket.events += 1
-        self.total_stall_cycles += cycles
+    def _charge(self, fn: Optional[str], cache: str, kind: str, cycles: int) -> None:
+        """Charge ``cycles`` to ``fn``; ``fn`` is None during warm-ups,
+        which record nothing."""
+        if fn is not None:
+            key = (fn, cache, kind)
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = self._buckets[key] = Bucket()
+            bucket.stall_cycles += cycles
+            bucket.events += 1
+            self.total_stall_cycles += cycles
 
     def _replay_events(self, trace: Traceable) -> Tuple[List[FetchRun], Dict[str, int]]:
         """``trace`` as fetch runs, plus its instructions per owner.
@@ -238,14 +232,14 @@ class Attribution:
         i-block.  Only its first fetch can miss: an i-cache hit changes no
         state, the fully-associative shadow already holds the block as
         most recently used, and data accesses touch neither.  So one probe
-        per run replays the fetch stream exactly.  Owners and counts are
+        per run walks the fetch stream exactly.  Owners and counts are
         resolved here once, not on every pass.
         """
         cached = self._replay
         if cached is not None and cached[0] is trace and cached[1] == len(trace):
             return cached[2]
         packed = as_packed(trace)
-        iblks, iidxs, dcols = derived_columns(packed, self._block_size, self._i_n)
+        size = self._block_size
         span = self._owner.span
         runs: List[FetchRun] = []
         counts: Dict[str, int] = {}
@@ -253,67 +247,78 @@ class Attribution:
         n = 0
         prev = -1
         data: List[Tuple[int, str]] = []
-        for pc, blk, idx, access in zip(packed.pcs, iblks, iidxs, dcols):
+        for pc, d, flags in zip(packed.pcs, packed.daddrs, packed.flags):
             if not lo <= pc < hi:
                 if n:
                     counts[fn] = counts.get(fn, 0) + n
                     n = 0
                 fn, lo, hi = span(pc)
             n += 1
+            blk = pc // size
             if blk != prev:
                 data = []
-                runs.append((blk, idx, fn, data))
+                runs.append((blk, fn, data))
                 prev = blk
-            if access != -1:
-                data.append((access, fn))
+            if d >= 0:
+                data.append((-2 - d // size if flags & FLAG_DWRITE else d // size, fn))
         if n:
             counts[fn] = counts.get(fn, 0) + n
         events = (runs, counts)
         self._replay = (trace, len(trace), events)
         return events
 
-    def observe_pass(self, trace: Traceable, *, measure: bool) -> int:
-        """Replay one full pass of ``trace`` through the replica.
+    def observe_pass(
+        self, trace: Traceable, log: Sequence[tuple], *, measure: bool
+    ) -> int:
+        """Classify one full pass of ``trace`` from its decision ``log``.
 
         With ``measure``, every stall cycle is charged to a bucket and the
-        pass counts toward the report; without, the replica state advances
-        silently (a warm-up).  Returns the pass's total stall cycles either
-        way, so callers can check it against the engine's measured delta.
+        pass counts toward the report; without, only the shadows advance
+        (a warm-up).  Returns the stall cycles the pass charged (none for a
+        warm-up), so callers can check them against the engine's measured
+        delta.
         """
         runs, counts = self._replay_events(trace)
         i_n = self._i_n
         d_n = self._d_n
-        itags = self._itags
-        dtags = self._dtags
         i_shadow = self._i_shadow
         d_shadow = self._d_shadow
-        wb_set = self._wb_set
-        total = 0
-        # hits charge nothing, so owners are consulted (and warm-ups pass
-        # None, which skips all recording) only on the miss paths
-        for blk, idx, fn, data in runs:
+        pending = _pending(log)
+        record, fkey, dkey = next(pending)
+        before = self.total_stall_cycles
+        # a record belongs to the next access of its block; hits charge
+        # nothing, so owners are consulted (and warm-ups pass None, which
+        # skips all recording) only for matched records
+        for blk, fn, data in runs:
             shadow_hit = _touch(i_shadow, i_n, blk)
-            if itags[idx] != blk:
-                total += self._fetch_miss(blk, idx, shadow_hit, fn if measure else None)
+            if blk == fkey:
+                self._on_fetch(record, shadow_hit, fn if measure else None)
+                record, fkey, dkey = next(pending)
             for access, owner in data:
                 if access >= 0:
                     shadow_hit = _touch(d_shadow, d_n, access)
-                    if dtags[access % d_n] != access:
-                        total += self._read_miss(
-                            access, shadow_hit, owner if measure else None
-                        )
-                elif -2 - access not in wb_set:
-                    total += self._write(-2 - access, owner if measure else None)
+                if access == dkey:
+                    who = owner if measure else None
+                    if access >= 0:
+                        self._on_read(record, shadow_hit, who)
+                    else:
+                        self._on_store(record, who)
+                    record, fkey, dkey = next(pending)
+        if record is not None:
+            raise AttributionMismatch(
+                f"no access of the pass matches its {record[0]} decision "
+                f"on block {record[1]}"
+            )
         if measure:
             instructions = self.instructions
             for fn, n in counts.items():
                 instructions[fn] = instructions.get(fn, 0) + n
             self.total_instructions += len(trace)
             self.measured_passes += 1
-        return total
+        return self.total_stall_cycles - before
 
     # ------------------------------------------------------------------ #
-    # the instrumented replica: miss paths                               #
+    # classifying logged decisions                                       #
     # ------------------------------------------------------------------ #
 
     def _classify(self, block: int, ever: set, shadow_hit: bool) -> str:
@@ -321,61 +326,20 @@ class Attribution:
             return COLD
         return CONFLICT if shadow_hit else CAPACITY
 
-    def _fetch_miss(
-        self, blk: int, idx: int, shadow_hit: bool, fn: Optional[str]
-    ) -> int:
-        """An i-cache miss on block ``blk`` (at index ``idx``).  Mirrors
-        the fetch half of ``MemoryHierarchy.step`` decision for decision;
-        ``fn`` is the owning function (None during warm-ups, which skips
-        all recording)."""
-        mem = self.config.memory
-        stall = 0
-        itags = self._itags
-        i_ever = self._i_ever
-        kind = self._classify(blk, i_ever, shadow_hit)
-        victim = itags[idx]
-        if fn is not None and victim >= 0:
-            self.conflicts.record(
-                evictor=self._owner.owner(blk * self._block_size),
-                victim=self._owner.owner(victim * self._block_size),
-                set_index=idx,
-            )
-        itags[idx] = blk
-        i_ever.add(blk)
-        nblk = blk + 1
-        if self._sb_block == blk:
-            # stream-buffer hit: the prefetch hid the b-cache access; an
-            # un-hidden main-memory remainder lands here if that prefetch
-            # had missed the b-cache
-            self._sb_block = -1
-            stall += mem.stream_hit_cycles
-            if fn is not None:
-                self._charge(fn, ICACHE, kind, mem.stream_hit_cycles)
-            if self._sb_kind is not None:
-                extra = mem.main_memory_cycles - mem.bcache_hit_cycles
-                stall += extra
-                if fn is not None:
-                    self._charge(fn, BCACHE, self._sb_kind, extra)
-        else:
-            stall += self._bcache_fetch(blk, fn, kind, ICACHE)
-        # overlapped sequential prefetch of the successor block
-        if itags[nblk % self._i_n] != nblk:
-            btags = self._btags
-            bidx = nblk % self._b_n
-            b_shadow_hit = _touch(self._b_shadow, self._b_n, nblk)
-            if btags[bidx] == nblk:
-                self._sb_kind = None
-            else:
-                self._sb_kind = self._classify(nblk, self._b_ever, b_shadow_hit)
-                btags[bidx] = nblk
-                self._b_ever.add(nblk)
-            self._sb_block = nblk
-        return stall
+    def _b_access(self, block: int, outcome: str) -> Optional[str]:
+        """A logged b-cache access: advance the b-shadow and, on a miss,
+        return the missed block's kind (None on a hit)."""
+        shadow_hit = _touch(self._b_shadow, self._b_n, block)
+        if outcome == BCACHE_HIT:
+            return None
+        kind = self._classify(block, self._b_ever, shadow_hit)
+        self._b_ever.add(block)
+        return kind
 
-    def _bcache_fetch(
-        self, block: int, fn: Optional[str], kind: str, level: str
-    ) -> int:
-        """A primary miss going to the b-cache; returns its stall cycles.
+    def _primary_miss(
+        self, block: int, served: str, fn: Optional[str], kind: str, level: str
+    ) -> None:
+        """A primary miss served by the b-cache.
 
         The b-cache-hit latency is charged to the primary cache ``level``
         (with the primary miss's ``kind``); a b-cache miss additionally
@@ -383,82 +347,65 @@ class Attribution:
         b-cache block's own classification.
         """
         mem = self.config.memory
-        btags = self._btags
-        bidx = block % self._b_n
-        shadow_hit = _touch(self._b_shadow, self._b_n, block)
-        if btags[bidx] == block:
-            if fn is not None:
-                self._charge(fn, level, kind, mem.bcache_hit_cycles)
-            return mem.bcache_hit_cycles
-        b_kind = self._classify(block, self._b_ever, shadow_hit)
-        btags[bidx] = block
-        self._b_ever.add(block)
-        if fn is not None:
-            self._charge(fn, level, kind, mem.bcache_hit_cycles)
+        b_kind = self._b_access(block, served)
+        self._charge(fn, level, kind, mem.bcache_hit_cycles)
+        if b_kind is not None:
             extra = mem.main_memory_cycles - mem.bcache_hit_cycles
             self._charge(fn, BCACHE, b_kind, extra)
-        return mem.main_memory_cycles
 
-    def _read_miss(self, dblk: int, shadow_hit: bool, fn: Optional[str]) -> int:
-        """A d-cache read miss on block ``dblk``."""
-        kind = self._classify(dblk, self._d_ever, shadow_hit)
-        self._dtags[dblk % self._d_n] = dblk
-        self._d_ever.add(dblk)
-        if dblk in self._wb_set:
+    def _on_fetch(self, record: tuple, shadow_hit: bool, fn: Optional[str]) -> None:
+        """A logged i-cache miss."""
+        mem = self.config.memory
+        _, blk, victim, served, late, prefetch = record
+        kind = self._classify(blk, self._i_ever, shadow_hit)
+        self._i_ever.add(blk)
+        if fn is not None and victim >= 0:
+            self.conflicts.record(
+                evictor=self._owner.owner(blk * self._block_size),
+                victim=self._owner.owner(victim * self._block_size),
+                set_index=blk % self._i_n,
+            )
+        if served == STREAM:
+            # stream-buffer hit: the prefetch hid the b-cache access; an
+            # un-hidden main-memory remainder lands here if that prefetch
+            # had missed the b-cache
+            self._charge(fn, ICACHE, kind, mem.stream_hit_cycles)
+            if late:
+                extra = mem.main_memory_cycles - mem.bcache_hit_cycles
+                self._charge(fn, BCACHE, self._sb_kind, extra)
+        else:
+            self._primary_miss(blk, served, fn, kind, ICACHE)
+        if prefetch != NONE:
+            # the overlapped sequential prefetch of the successor block
+            self._sb_kind = self._b_access(blk + 1, prefetch)
+
+    def _on_read(self, record: tuple, shadow_hit: bool, fn: Optional[str]) -> None:
+        """A logged d-cache read miss."""
+        _, block, served = record
+        kind = self._classify(block, self._d_ever, shadow_hit)
+        self._d_ever.add(block)
+        if served == FORWARD:
             # store->load forwarding: the pending store must drain first
             fwd = self.config.memory.write_forward_cycles
-            if fn is not None:
-                self._charge(fn, WRITE_BUFFER, WB_KIND, fwd)
-            return fwd
-        return self._bcache_fetch(dblk, fn, kind, DCACHE)
-
-    def _write(self, wblk: int, fn: Optional[str]) -> int:
-        """A store to block ``wblk``, which no pending entry holds (a
-        store to a buffered block merges: no stall, no state change)."""
-        wb_set = self._wb_set
-        mem = self.config.memory
-        wb = self._wb
-        if mem.write_coalescing:
-            # two-block (64-byte) entry granularity, mirroring the engines
-            pair = wblk >> 1
-            wb_set.add(wblk)
-            slot = self._wb_pairs.get(pair)
-            if slot is not None:
-                slot.append(wblk)
-                overflowed = False
-            else:
-                wb.append(pair)
-                self._wb_pairs[pair] = [wblk]
-                overflowed = len(wb) > self._wb_depth
-                if overflowed:
-                    for old in self._wb_pairs.pop(wb.pop(0)):
-                        wb_set.discard(old)
+            self._charge(fn, WRITE_BUFFER, WB_KIND, fwd)
         else:
-            wb.append(wblk)
-            wb_set.add(wblk)
-            overflowed = len(wb) > self._wb_depth
-            if overflowed:
-                wb_set.discard(wb.pop(0))
-        # the retiring write's b-cache access (write-through, no stall)
-        btags = self._btags
-        bidx = wblk % self._b_n
-        if mem.non_allocating_writes:
+            self._primary_miss(block, served, fn, kind, DCACHE)
+
+    def _on_store(self, record: tuple, fn: Optional[str]) -> None:
+        """A logged store that did not merge; its retirement goes to the
+        b-cache without a stall unless it overflowed the write buffer."""
+        _, block, allocating, overflowed = record
+        if allocating:
+            _touch(self._b_shadow, self._b_n, block)
+            self._b_ever.add(block)
+        elif block in self._b_shadow:
             # a streaming store goes around the b-cache: the shadow (a
             # fully-associative cache under the same policy) only
             # refreshes an already-resident block
-            if wblk in self._b_shadow:
-                self._b_shadow.move_to_end(wblk)
-        else:
-            _touch(self._b_shadow, self._b_n, wblk)
-            if btags[bidx] != wblk:
-                btags[bidx] = wblk
-                self._b_ever.add(wblk)
+            self._b_shadow.move_to_end(block)
         if overflowed:
-            full = mem.write_buffer_full_cycles
-            if fn is not None:
-                self._charge(fn, WRITE_BUFFER, WB_KIND, full)
-            return full
-        return 0
+            full = self.config.memory.write_buffer_full_cycles
+            self._charge(fn, WRITE_BUFFER, WB_KIND, full)
 
     # ------------------------------------------------------------------ #
     # reports                                                            #
@@ -467,13 +414,14 @@ class Attribution:
     def harvest(self, label: str = "") -> "AttributionReport":
         """Snapshot the recorded buckets into a report and clear them.
 
-        The replica's hierarchy state is kept, so the machine/sink pair can
-        continue into further (e.g. steady-state) passes.
+        The shadows are kept, so the machine/sink pair can continue into
+        further (e.g. steady-state) passes.
         """
         report = AttributionReport(
             label=label,
             buckets={
-                k: Bucket(b.stall_cycles, b.events) for k, b in self.buckets.items()
+                (layer_of(fn), fn, cache, kind): bucket
+                for (fn, cache, kind), bucket in self._buckets.items()
             },
             instructions=dict(self.instructions),
             conflicts=self.conflicts,
@@ -483,7 +431,6 @@ class Attribution:
         )
         self._clear_recording()
         return report
-
 
 @dataclass
 class AttributionReport:

@@ -164,21 +164,14 @@ class SearchResult:
 def _profile_conflicts(evaluator: CellEvaluator) -> ConflictMatrix:
     """One attributed cold+steady pass on the default layout; returns the
     steady-state eviction matrix that seeds the conflict placer."""
-    from repro.arch.fastsim import FastMachine
     from repro.core.fastwalk import FastWalker
-    from repro.obs.attribution import Attribution
+    from repro.harness.profile import attribute_passes
 
     program = evaluator.program
     walk = FastWalker(program, dict(evaluator._data_env)).walk(
         evaluator._clone_events(evaluator._events)
     )
-    sink = Attribution(program)
-    machine = FastMachine(sink=sink)
-    machine.run(walk.packed)
-    sink.harvest("cold")
-    machine.warm_up(walk.packed)
-    machine.run(walk.packed)
-    return sink.harvest("steady").conflicts
+    return attribute_passes(walk, program)[3].conflicts
 
 
 def _fingerprint(placements: Placements) -> Tuple:

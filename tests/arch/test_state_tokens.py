@@ -39,26 +39,32 @@ def configs(draw) -> AlphaConfig:
         dcache_size=block * draw(st.sampled_from([2, 4, 8])),
         bcache_size=block * draw(st.sampled_from([8, 16, 32, 64])),
         block_size=block,
-        write_buffer_depth=draw(st.integers(min_value=1, max_value=4)),
+        write_buffer_depth=draw(st.integers(min_value=1, max_value=8)),
         write_coalescing=draw(st.booleans()),
         non_allocating_writes=draw(st.booleans()),
     )
     return AlphaConfig(memory=mem)
 
 
-#: one instruction: (pc word, op, data word, taken); pcs and data span a
-#: few hundred blocks so code and data alias in every b-cache drawn
+#: one instruction: (pc word, op, data word, taken).  Pcs and data span a
+#: few hundred blocks so code and data alias in every b-cache drawn.  Most
+#: pcs are None, falling through to the next word: straight-line runs
+#: cross block boundaries into prefetched blocks (stream-buffer hits).
+#: Half the data lands in eight blocks, so loads meet pending stores
+#: (store->load forwarding).
 _INSTRUCTIONS = st.tuples(
-    st.integers(min_value=0, max_value=2_047),
+    st.none() | st.none() | st.none() | st.integers(min_value=0, max_value=2_047),
     st.sampled_from(_OPS),
-    st.integers(min_value=0, max_value=2_047),
+    st.integers(min_value=0, max_value=63) | st.integers(min_value=0, max_value=2_047),
     st.booleans(),
 )
 
 
 def _segment(instructions) -> PackedTrace:
     packed = PackedTrace()
-    for pc_word, op, d_word, taken in instructions:
+    pc_word = -1
+    for jump, op, d_word, taken in instructions:
+        pc_word = pc_word + 1 if jump is None else jump
         memory = op in (Op.LOAD, Op.STORE)
         packed.append(
             pc_word * 4,

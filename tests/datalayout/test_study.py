@@ -99,9 +99,9 @@ class TestAttributionPasses:
         seen = {}
         observe, harvest = Attribution.observe_pass, Attribution.harvest
 
-        def observe_pass(self, trace, *, measure):
+        def observe_pass(self, trace, log, *, measure):
             seen.setdefault(self, ([], []))[0].append(measure)
-            return observe(self, trace, measure=measure)
+            return observe(self, trace, log, measure=measure)
 
         def keep_report(self, label=""):
             report = harvest(self, label)

@@ -3,20 +3,23 @@
 The attribution invariant: for every (stack, config) cell of the Table-4
 sweep, the sum of attributed stall cycles equals the engine's reported
 stall total *exactly*, on both engines, cold and steady.  On top of that:
-the two engines produce identical bucket decompositions, an attached sink
-never changes the simulated numbers, reports aggregate consistently, and
-the JSON form round-trips.
+the two engines log identical decisions and so produce identical bucket
+decompositions, an attached sink never changes the simulated numbers,
+reports aggregate consistently, and the JSON form round-trips.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.fastsim import FastMachine
 from repro.arch.isa import Op
 from repro.arch.packed import OP_CODES, PackedTrace
-from repro.arch.simulator import MachineSimulator
+from repro.arch.simulator import AlphaConfig, MachineSimulator
 from repro.core.ir import FunctionBuilder
 from repro.core.program import Program
 from repro.core.walker import Walker
+from repro.datalayout import DATA_TECHNIQUES
 from repro.harness.configs import CONFIG_NAMES, build_configured_program_cached
 from repro.harness.experiment import Experiment
 from repro.harness.profile import profile_cell
@@ -28,8 +31,20 @@ from repro.obs import (
     layer_of,
     static_overlap,
 )
+from tests.arch.test_state_tokens import SEGMENTS, configs
 
 CELLS = [(stack, config) for stack in ("tcpip", "rpc") for config in CONFIG_NAMES]
+
+class LoggingSink(Attribution):
+    """An :class:`Attribution` that keeps every pass's decision log."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.logs = []
+
+    def observe_pass(self, trace, log, *, measure):
+        self.logs.append(list(log))
+        return super().observe_pass(trace, log, measure=measure)
 
 
 @pytest.fixture(scope="module")
@@ -84,20 +99,67 @@ def test_invariant_reference_engine(walks, stack, config):
 
 @pytest.mark.parametrize("stack", ["tcpip", "rpc"])
 def test_engines_attribute_identically(walks, stack):
-    """Both engines replay the same decisions, so the full bucket
+    """Both engines log the same decisions on every pass (cold, warm-up,
+    steady) of every cell under every store mode, so the full bucket
     decomposition — not just the totals — must agree."""
-    build, walk = walks[(stack, "STD")]
-    fast_sink = Attribution(build.program)
-    ref_sink = Attribution(build.program)
-    f_cold, f_steady, _, _ = _attributed_run(
-        FastMachine(sink=fast_sink), walk.packed, fast_sink
-    )
-    r_cold, r_steady, _, _ = _attributed_run(
-        MachineSimulator(sink=ref_sink), walk.trace, ref_sink
-    )
-    assert f_cold.buckets == r_cold.buckets
-    assert f_steady.buckets == r_steady.buckets
-    assert f_steady.conflicts.counts == r_steady.conflicts.counts
+    for config in CONFIG_NAMES:
+        build, walk = walks[(stack, config)]
+        # the four store modes: buffered, coalescing, streaming, both
+        for mode in ("baseline", "coalesce", "stream", "all"):
+            machine_cfg = AlphaConfig(memory=DATA_TECHNIQUES[mode].memory())
+            fast_sink = LoggingSink(build.program, config=machine_cfg)
+            ref_sink = LoggingSink(build.program, config=machine_cfg)
+            f_cold, f_steady, _, _ = _attributed_run(
+                FastMachine(machine_cfg, sink=fast_sink), walk.packed, fast_sink
+            )
+            r_cold, r_steady, _, _ = _attributed_run(
+                MachineSimulator(machine_cfg, sink=ref_sink), walk.trace, ref_sink
+            )
+            where = f"{stack}/{config}/{mode}"
+            assert len(fast_sink.logs) == 3, where
+            for label, f_log, r_log in zip(
+                ("cold", "warm-up", "steady"), fast_sink.logs, ref_sink.logs
+            ):
+                assert f_log == r_log, f"{where} {label}"
+            assert f_cold.buckets == r_cold.buckets, where
+            assert f_steady.buckets == r_steady.buckets, where
+            assert f_steady.conflicts.counts == r_steady.conflicts.counts, where
+
+
+#: a pass plan: (segment index, measured rather than a warm-up) per pass
+PLANS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=63), st.booleans()),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs(), segments=SEGMENTS, plan=PLANS)
+def test_engines_log_identically_on_random_plans(config, segments, plan):
+    """On random geometries, store modes and write-buffer depths, over a
+    random plan of measured and warm-up passes on several segments, both
+    engines log the same decisions on every pass, their reports agree, and
+    each report's total is the engine's stall delta."""
+    fast_sink = LoggingSink(config=config)
+    ref_sink = LoggingSink(config=config)
+    fast = FastMachine(config, sink=fast_sink)
+    ref = MachineSimulator(config, sink=ref_sink)
+    entries = [segment.entries() for segment in segments]
+    for step, (index, measured) in enumerate(plan):
+        k = index % len(segments)
+        if not measured:
+            fast.warm_up(segments[k])
+            ref.warm_up(entries[k])
+            assert fast_sink.logs[-1] == ref_sink.logs[-1], f"warm-up {step}"
+            continue
+        f_stalls = fast.run(segments[k]).memory.stall_cycles
+        r_stalls = ref.run(entries[k]).memory.stall_cycles
+        assert fast_sink.logs[-1] == ref_sink.logs[-1], f"measured pass {step}"
+        f_report, r_report = fast_sink.harvest(), ref_sink.harvest()
+        assert f_report.to_json() == r_report.to_json(), f"measured pass {step}"
+        assert f_report.total_stall_cycles == f_stalls
+        assert r_report.total_stall_cycles == r_stalls
 
 
 @pytest.mark.parametrize("stack", ["tcpip", "rpc"])
@@ -171,28 +233,60 @@ def test_a_fetch_run_charges_each_access_to_its_issuer():
     trace.append(g - 8, OP_CODES[Op.ALU])
     trace.append(g - 4, OP_CODES[Op.ALU])
     trace.append(g, OP_CODES[Op.LOAD], daddr=0x8000)
-    sink = Attribution(program)
-    sink.observe_pass(trace, measure=True)
-    report = sink.harvest()
-    assert {(fn, cache) for (_l, fn, cache, _k) in report.buckets} == {
-        ("f", "icache"),
-        ("f", "bcache"),
-        ("g", "dcache"),
-        ("g", "bcache"),
-    }
-    assert report.instructions == {"f": 2, "g": 1}
+    for machine, run_trace in (
+        (FastMachine, trace),
+        (MachineSimulator, trace.entries()),
+    ):
+        sink = Attribution(program)
+        machine(sink=sink).run(run_trace)
+        report = sink.harvest()
+        assert {(fn, cache) for (_l, fn, cache, _k) in report.buckets} == {
+            ("f", "icache"),
+            ("f", "bcache"),
+            ("g", "dcache"),
+            ("g", "bcache"),
+        }, machine.__name__
+        assert report.instructions == {"f": 2, "g": 1}, machine.__name__
 
 
 def test_desynced_sink_raises_mismatch(walks):
-    """A sink whose replica state diverges from the machine's is detected
-    at the next measured run — the invariant is enforced, not assumed."""
+    """A decision log the trace cannot account for is detected at the
+    measured run that hands it over — the invariant is enforced, not
+    assumed.  A dropped record loses its stall cycles, which the engine's
+    cycle-sum check names; a record whose block was altered matches no
+    access, and the sink names that decision."""
     build, walk = walks[("tcpip", "STD")]
-    sink = Attribution(build.program)
-    machine = FastMachine(sink=sink)
-    machine.run(walk.packed)
-    sink.reset_state()  # replica now cold while the machine is warm
-    with pytest.raises(AttributionMismatch):
+
+    def warm_machine(edit):
+        """A machine one cold pass in whose sink sees ``edit(log)``."""
+        sink = Attribution(build.program)
+        machine = FastMachine(sink=sink)
         machine.run(walk.packed)
+        observe = sink.observe_pass
+        sink.observe_pass = lambda trace, log, *, measure: observe(
+            trace, edit(list(log)), measure=measure
+        )
+        return machine
+
+    def drop(log):
+        # a fetch decision: every i-cache miss stalls
+        log.remove(next(r for r in log if r[0] == "fetch"))
+        return log
+
+    with pytest.raises(AttributionMismatch, match="the fast engine measured"):
+        warm_machine(drop).run(walk.packed)
+
+    altered = []
+
+    def alter(log):
+        kind, block, *rest = log[0]
+        log[0] = (kind, block + (1 << 40), *rest)
+        altered.append(f"its {kind} decision on block {block + (1 << 40)}")
+        return log
+
+    with pytest.raises(AttributionMismatch) as raised:
+        warm_machine(alter).run(walk.packed)
+    assert altered[0] in str(raised.value)
 
 
 def test_report_json_roundtrip(walks):
