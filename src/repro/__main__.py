@@ -32,6 +32,18 @@ import json
 import sys
 import time
 
+from repro.api.settings import ENGINES
+
+
+def _write_json(doc, path: str) -> None:
+    """Write ``doc`` as indented JSON to ``path`` ('-' for stdout)."""
+    payload = json.dumps(doc, indent=2) + "\n"
+    if path == "-":
+        sys.stdout.write(payload)
+    else:
+        with open(path, "w") as fh:
+            fh.write(payload)
+
 
 def profile_main(argv=None) -> int:
     """``python -m repro profile``: attribute one cell's stall cycles."""
@@ -46,8 +58,7 @@ def profile_main(argv=None) -> int:
     )
     parser.add_argument("stack", choices=list(STACKS))
     parser.add_argument("config", choices=list(CONFIG_NAMES))
-    parser.add_argument("--engine", choices=["fast", "reference"],
-                        default=None,
+    parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="simulation engine (default: $REPRO_SIM_ENGINE "
                              "or fast)")
     parser.add_argument("--seed", type=int, default=42,
@@ -65,14 +76,9 @@ def profile_main(argv=None) -> int:
                                        engine=args.engine, seed=args.seed))
 
     if args.json is not None:
-        payload = json.dumps(cell.to_json(), indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-            return 0
-        with open(args.json, "w") as fh:
-            fh.write(payload)
-
-    print(cell.render(top=args.top))
+        _write_json(cell.to_json(), args.json)
+    if args.json != "-":
+        print(cell.render(top=args.top))
     return 0
 
 
@@ -99,8 +105,7 @@ def analyze_main(argv=None) -> int:
     )
     parser.add_argument("stack", choices=list(STACKS) + ["all"])
     parser.add_argument("config", choices=list(CONFIG_NAMES) + ["all"])
-    parser.add_argument("--engine", choices=["fast", "reference"],
-                        default=None,
+    parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="engine for the simulated cross-validations "
                              "(default: $REPRO_SIM_ENGINE or fast)")
     parser.add_argument("--seed", type=int, default=42,
@@ -150,12 +155,7 @@ def analyze_main(argv=None) -> int:
         return 2
 
     if args.json is not None:
-        payload = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
+        _write_json([r.to_json() for r in reports], args.json)
 
     if failures:
         if args.json != "-":
@@ -171,7 +171,6 @@ def faults_main(argv=None) -> int:
     """``python -m repro faults``: price the error paths of one stack."""
     from repro.faults.plan import FAULT_KINDS
     from repro.harness.configs import CONFIG_NAMES, STACKS
-    from repro.harness.experiment import ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro faults",
@@ -213,13 +212,9 @@ def faults_main(argv=None) -> int:
     ))
 
     if args.json is not None:
-        payload = json.dumps(study.to_json(), indent=2) + "\n"
+        _write_json(study.to_json(), args.json)
         if args.json == "-":
-            sys.stdout.write(payload)
             return 0
-        with open(args.json, "w") as fh:
-            fh.write(payload)
-
     print(study.render())
     return 1 if study.check() else 0
 
@@ -246,8 +241,7 @@ def search_main(argv=None) -> int:
                         help="search seed (drives every random choice)")
     parser.add_argument("--base-seed", type=int, default=42,
                         help="allocator jitter seed of the scored sample")
-    parser.add_argument("--engine", choices=["fast", "reference"],
-                        default=None,
+    parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="scoring engine (default: $REPRO_SIM_ENGINE "
                              "or fast; scores are bit-identical either way)")
     parser.add_argument("--parallel", action="store_true",
@@ -280,12 +274,7 @@ def search_main(argv=None) -> int:
     if args.out is not None:
         result.artifact.save(args.out)
     if args.json is not None:
-        payload = json.dumps(result.to_json(), indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
+        _write_json(result.to_json(), args.json)
     if args.json != "-":
         print(result.summary())
 
@@ -385,12 +374,7 @@ def traffic_main(argv=None) -> int:
         flow_counts=tuple(args.flows),
     ), settings=settings)
     if args.json is not None:
-        payload = json.dumps(study.to_json(), indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
+        _write_json(study.to_json(), args.json)
     if args.json != "-":
         print(study.render())
     return 0
@@ -490,12 +474,7 @@ def resilience_main(argv=None) -> int:
         overload=overload, parallel=args.parallel,
     ), settings=settings)
     if args.json is not None:
-        payload = json.dumps(study.to_json(), indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
+        _write_json(study.to_json(), args.json)
     if args.json != "-":
         print(study.render())
     return 1 if study.check() else 0
@@ -503,7 +482,6 @@ def resilience_main(argv=None) -> int:
 
 def datalayout_main(argv=None) -> int:
     """``python -m repro datalayout``: the data-techniques grid study."""
-    from repro.api.settings import ENGINES
     from repro.api.spec import SPEC_CONFIGS, SPEC_STACKS
     from repro.datalayout import TECHNIQUE_NAMES
 
@@ -543,12 +521,7 @@ def datalayout_main(argv=None) -> int:
         seed=args.seed, engine=args.engine,
     ))
     if args.json is not None:
-        payload = json.dumps(study.to_json(), indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
+        _write_json(study.to_json(), args.json)
     if args.json != "-":
         print(study.render())
     problems = study.check()
@@ -588,10 +561,7 @@ def main(argv=None) -> int:
                         default="both")
     parser.add_argument("--tables", nargs="*", type=int, default=None,
                         help="subset of table numbers (1-9)")
-    from repro.api.settings import ENGINES as _engines
-
-    parser.add_argument("--engine", choices=list(_engines),
-                        default=None,
+    parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="simulation engine for the sweeps (default: "
                              "$REPRO_SIM_ENGINE or fast)")
     args = parser.parse_args(argv)

@@ -801,17 +801,16 @@ def _cell_walk(
     *,
     opts: "Optional[Section2Options]" = None,
     seed: int = 42,
+    engine: str = "fast",
 ) -> "Tuple[Program, WalkResult]":
-    """(program, walk) of one cell's captured roundtrip, default layout."""
-    from repro.core.fastwalk import FastWalker
-    from repro.harness.configs import build_configured_program
-    from repro.harness.experiment import Experiment, _clone_events
+    """(program, walk) of one cell's captured roundtrip, default layout,
+    walked on ``engine``."""
+    from repro.harness.experiment import Experiment, walk_events
 
-    build = build_configured_program(stack, config, opts)
-    exp = Experiment(stack, config, opts, base_seed=seed)
+    exp = Experiment(stack, config, opts, base_seed=seed, engine=engine)
+    program = exp.build().program
     events, data_env = exp.capture_roundtrip(seed)
-    walk = FastWalker(build.program, dict(data_env)).walk(_clone_events(events))
-    return build.program, walk
+    return program, walk_events(program, events, data_env, engine)
 
 
 def cell_digest(
@@ -861,10 +860,11 @@ def check_cell_bounds(
     list is the machine-checked claim ``lower <= simulated <= upper`` for
     both the cold and the steady measurement.
     """
-    from repro.arch.simcache import simulate_cold_and_steady_cached
-    from repro.arch.simulator import AlphaConfig, MachineSimulator
+    from repro.arch.simulator import AlphaConfig
+    from repro.harness.experiment import simulate_walk
 
-    program, walk = _cell_walk(stack, config, opts=opts, seed=seed)
+    resolved = "reference" if engine == "reference" else "fast"
+    program, walk = _cell_walk(stack, config, opts=opts, seed=seed, engine=resolved)
     digest = digest_trace(walk.packed, program)
     placements = {
         name: program.address_of(name) for name in program.names()
@@ -874,12 +874,7 @@ def check_cell_bounds(
     )
 
     machine_cfg = AlphaConfig(memory=memory) if memory is not None else None
-    resolved = "reference" if engine == "reference" else "fast"
-    if resolved == "reference":
-        cold = MachineSimulator(machine_cfg).run(walk.trace)
-        steady = MachineSimulator(machine_cfg).run_steady_state(walk.trace)
-    else:
-        cold, steady = simulate_cold_and_steady_cached(walk.packed, machine_cfg)
+    cold, steady = simulate_walk(walk, resolved, machine_cfg)
     findings = bounds.check(
         cold_mcpi=cold.mcpi,
         steady_mcpi=steady.mcpi,

@@ -48,7 +48,7 @@ from repro.core.outline import outline_program, outline_function
 from repro.core.inline import inline_call, should_inline
 from repro.core.pathinline import path_inline
 from repro.core.clone import clone_functions
-from repro.core.fastwalk import FastWalker, TraceTemplate, walk_with_template
+from repro.core.fastwalk import FastWalker, TraceTemplate
 from repro.core.walker import Walker, EnterEvent, ExitEvent
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "Walker",
     "FastWalker",
     "TraceTemplate",
-    "walk_with_template",
     "EnterEvent",
     "ExitEvent",
 ]

@@ -33,9 +33,7 @@ from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.packed import PackedTrace
-from repro.core.program import Program
 from repro.core.walker import (
-    DEFAULT_STACK_TOP,
     EnterEvent,
     Event,
     ExitEvent,
@@ -137,19 +135,7 @@ class FastWalker(Walker):
     re-laying-out a program naturally starts from an empty cache.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        data_env: Optional[Mapping[str, int]] = None,
-        *,
-        stack_top: int = DEFAULT_STACK_TOP,
-    ) -> None:
-        super().__init__(program, data_env, stack_top=stack_top)
-
-    def walk(self, events: Iterable[Event], **kwargs) -> WalkResult:
-        if kwargs:
-            # explicit recording requests bypass the template cache
-            return super().walk(events, **kwargs)
+    def walk(self, events: Iterable[Event]) -> WalkResult:
         stream = list(events)
         signature = event_signature(stream)
         key = (signature, self._stack_top, tuple(sorted(self.data_env)))
@@ -177,13 +163,3 @@ class FastWalker(Walker):
         templates[key] = TraceTemplate(result, bindings)
         return result
 
-
-def walk_with_template(
-    program: Program,
-    events: Sequence[Event],
-    data_env: Optional[Mapping[str, int]] = None,
-    *,
-    stack_top: int = DEFAULT_STACK_TOP,
-) -> WalkResult:
-    """One-shot helper: template-cached walk of ``events`` over ``program``."""
-    return FastWalker(program, data_env, stack_top=stack_top).walk(events)

@@ -98,11 +98,36 @@ class MarkEvent:
 Event = Union[EnterEvent, ExitEvent, MarkEvent]
 
 
+def clone_events(events: Iterable[Event]) -> List[Event]:
+    """A copy of an event stream that shares no mutable state with it:
+    fresh events, cond and data dicts, and list-valued conds, so that
+    rewriting one stream's conds never touches the other's."""
+    out: List[Event] = []
+    for ev in events:
+        if isinstance(ev, EnterEvent):
+            out.append(EnterEvent(
+                ev.fn,
+                {k: (list(v) if isinstance(v, list) else v)
+                 for k, v in ev.conds.items()},
+                dict(ev.data),
+            ))
+        elif isinstance(ev, ExitEvent):
+            out.append(ExitEvent(ev.fn))
+        else:
+            out.append(MarkEvent(ev.name))
+    return out
+
+
 class _CondStore:
-    """Interprets raw condition values with per-activation semantics."""
+    """Interprets raw condition values with per-activation semantics.
+
+    Reads only: a list-valued cond is consumed through a per-key cursor,
+    never popped, so a walk leaves its events as it found them."""
 
     def __init__(self, raw: Mapping[str, object]) -> None:
-        self._raw: Dict[str, object] = dict(raw)
+        self._raw = raw
+        # per-key position of the next unconsumed list value
+        self._cursor: Dict[str, int] = {}
         # per-(key, serial) activated value for list-valued conds
         self._active: Dict[Tuple[str, int], object] = {}
         # per-(key, serial) countdown state
@@ -115,9 +140,11 @@ class _CondStore:
         if isinstance(value, list):
             slot = (key, serial)
             if slot not in self._active:
-                if not value:
+                index = self._cursor.get(key, 0)
+                if index >= len(value):
                     raise WalkError(f"condition list {key!r} exhausted")
-                self._active[slot] = value.pop(0)
+                self._cursor[key] = index + 1
+                self._active[slot] = value[index]
             value = self._active[slot]
         if callable(value):
             return bool(value())

@@ -225,13 +225,13 @@ def _image(
     config: str,
     technique: DataTechnique,
     *,
+    engine: str,
     seed: int,
     opts: Optional[Section2Options],
 ) -> _Image:
     from repro.analysis.bounds import digest_trace
-    from repro.core.fastwalk import FastWalker
     from repro.harness.configs import build_configured_program
-    from repro.harness.experiment import Experiment, _clone_events
+    from repro.harness.experiment import Experiment, walk_events
 
     # a fresh (uncached) build: the transform rewrites instruction lists
     # in place, which must never happen to a shared cached BuildResult
@@ -244,7 +244,7 @@ def _image(
     )
     exp = Experiment(stack, config, opts, base_seed=seed)
     events, data_env = exp.capture_roundtrip(seed)
-    walk = FastWalker(build.program, dict(data_env)).walk(_clone_events(events))
+    walk = walk_events(build.program, events, data_env, engine)
     return _Image(
         program=build.program,
         layout=layout,
@@ -310,7 +310,7 @@ def datalayout_cell(
 ) -> DatalayoutCell:
     """Measure one grid cell under one data technique."""
     validate_engine(engine)
-    image = _image(stack, config, technique, seed=seed, opts=opts)
+    image = _image(stack, config, technique, engine=engine, seed=seed, opts=opts)
     return _measure_cell(image, stack, config, technique, engine)
 
 
@@ -353,7 +353,9 @@ def run_datalayout_study(
     for stack in stacks:
         for config in cfg_names:
             for sharing in by_layout.values():
-                image = _image(stack, config, sharing[0], seed=seed, opts=opts)
+                image = _image(
+                    stack, config, sharing[0], engine=engine, seed=seed, opts=opts
+                )
                 for technique in sharing:
                     measured[(technique.name, stack, config)] = _measure_cell(
                         image, stack, config, technique, engine

@@ -45,7 +45,14 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.walker import EnterEvent, Event, ExitEvent, MarkEvent, WalkResult
+from repro.core.walker import (
+    EnterEvent,
+    Event,
+    ExitEvent,
+    MarkEvent,
+    WalkResult,
+    clone_events,
+)
 
 #: the fault taxonomy; every fault point declares one of these kinds
 FAULT_KINDS = (
@@ -118,31 +125,6 @@ def stable_digest(*parts: object) -> int:
     """Public alias: every seeded subsystem (fault plans, traffic fault
     arrivals) derives its RNG seeds through this one digest."""
     return _stable_digest(*parts)
-
-
-def _clone_subtree(events: Sequence[Event], start: int, end: int) -> List[Event]:
-    """Deep-clone ``events[start:end + 1]``, dropping position markers.
-
-    Condition dicts (and their list values, which walks consume in place)
-    must not be shared between the original and the duplicate.
-    """
-    out: List[Event] = []
-    for ev in events[start : end + 1]:
-        if isinstance(ev, EnterEvent):
-            out.append(
-                EnterEvent(
-                    ev.fn,
-                    {
-                        k: (list(v) if isinstance(v, list) else v)
-                        for k, v in ev.conds.items()
-                    },
-                    dict(ev.data),
-                )
-            )
-        elif isinstance(ev, ExitEvent):
-            out.append(ExitEvent(ev.fn))
-        # MarkEvents are dropped: region-accounting marks must not repeat
-    return out
 
 
 def _match_exits(events: Sequence[Event]) -> Dict[int, int]:
@@ -311,9 +293,13 @@ class FaultPlan:
         point: FaultPoint,
         tag: str,
     ) -> List[Event]:
-        """The cloned envelope for a duplicated-packet fault, marks
-        included, with the no-progress overrides and prunes applied."""
-        dup = _clone_subtree(events, start, end)
+        """The cloned envelope for a duplicated-packet fault, bracketed by
+        its fault marks, with the no-progress overrides and prunes
+        applied.  The original's own marks are left out: region-accounting
+        marks must not repeat."""
+        dup = clone_events(
+            ev for ev in events[start : end + 1] if not isinstance(ev, MarkEvent)
+        )
         overrides = dict(point.dup_overrides)
         prune_set = set(point.dup_prune)
         exits = _match_exits(dup)

@@ -26,19 +26,18 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
     cast,
 )
 
-from repro.api.settings import (
-    ENGINES as ENGINES,  # re-export: the harness is ENGINES' legacy home
-    Settings,
-)
+from repro.api.settings import Settings
 from repro.arch.simcache import simulate_cold_and_steady_cached
-from repro.arch.simulator import MachineSimulator, SimResult
+from repro.arch.simulator import AlphaConfig, MachineSimulator, SimResult
 from repro.core.fastwalk import FastWalker
+from repro.core.program import Program
 from repro.faults import chaos
 from repro.faults.guard import (
     DivergenceReport,
@@ -46,14 +45,7 @@ from repro.faults.guard import (
     compare_results,
 )
 from repro.faults.plan import FaultPlan, InjectedFault
-from repro.core.walker import (
-    EnterEvent,
-    Event,
-    ExitEvent,
-    MarkEvent,
-    Walker,
-    WalkResult,
-)
+from repro.core.walker import Event, Walker, WalkResult, clone_events
 from repro.harness.configs import (
     BuildResult,
     build_configured_program,
@@ -107,31 +99,46 @@ def _layout_strategy(layout: Optional[object]) -> Optional[LayoutStrategy]:
 #: (stack, opts, warmup, seed) -> pristine (events, data_env).  The same
 #: functional run feeds every build configuration (layout changes code
 #: addresses, never behaviour), so one capture serves all six configs of a
-#: sweep.  Walks mutate list-valued conds in place, so the memo hands out
-#: clones and keeps its own copy untouched.
+#: sweep.  Walks never modify their events, but fault plans rewrite conds
+#: in place, so the memo hands out clones and keeps its own copy untouched.
 _capture_memo: Dict[Tuple, Tuple[List[Event], Dict[str, int]]] = {}
 _CAPTURE_MEMO_MAX = 64
 
 
-def _clone_events(events: List[Event]) -> List[Event]:
-    out: List[Event] = []
-    for ev in events:
-        if isinstance(ev, EnterEvent):
-            out.append(EnterEvent(
-                ev.fn,
-                {k: (list(v) if isinstance(v, list) else v)
-                 for k, v in ev.conds.items()},
-                dict(ev.data),
-            ))
-        elif isinstance(ev, ExitEvent):
-            out.append(ExitEvent(ev.fn))
-        else:
-            out.append(MarkEvent(ev.name))
-    return out
-
-
 def clear_capture_memo() -> None:
     _capture_memo.clear()
+
+
+# --------------------------------------------------------------------------- #
+# the engine switch                                                           #
+# --------------------------------------------------------------------------- #
+
+def walk_events(
+    program: Program,
+    events: Sequence[Event],
+    data_env: Mapping[str, int],
+    engine: str,
+) -> WalkResult:
+    """Expand ``events`` over ``program`` with ``engine``'s walker: the
+    template-rebinding :class:`FastWalker` on "fast", the oracle
+    :class:`Walker` on "reference"; both give the same trace."""
+    walker = FastWalker if engine == "fast" else Walker
+    return walker(program, data_env).walk(events)
+
+
+def simulate_walk(
+    walk: WalkResult, engine: str, config: Optional[AlphaConfig] = None
+) -> Tuple[SimResult, SimResult]:
+    """(cold, steady) results of ``walk`` on ``engine``'s simulator: the
+    cached fused kernel on "fast", the object-per-instruction oracle on
+    "reference"."""
+    if engine == "fast":
+        return simulate_cold_and_steady_cached(walk.packed, config)
+    trace = walk.trace
+    return (
+        MachineSimulator(config).run(trace),
+        MachineSimulator(config).run_steady_state(trace),
+    )
 
 
 @dataclass
@@ -335,7 +342,7 @@ class Experiment:
         from the client's live kernel objects.  Captures are memoized per
         (stack, options, warmup, seed) — the build configuration does not
         influence functional behaviour — and each call gets a fresh clone
-        (walks consume list-valued conds in place).
+        (fault plans rewrite conds in place).
         """
         if not self.memoize_captures:
             return self._capture_roundtrip_uncached(seed)
@@ -343,12 +350,12 @@ class Experiment:
         cached = _capture_memo.get(key)
         if cached is not None:
             events, data_env = cached
-            return _clone_events(events), dict(data_env)
+            return clone_events(events), dict(data_env)
         events, data_env = self._capture_roundtrip_uncached(seed)
         if len(_capture_memo) >= _CAPTURE_MEMO_MAX:
             _capture_memo.pop(next(iter(_capture_memo)))
         _capture_memo[key] = (events, data_env)
-        return _clone_events(events), dict(data_env)
+        return clone_events(events), dict(data_env)
 
     def _capture_roundtrip_uncached(
         self, seed: int
@@ -418,51 +425,48 @@ class Experiment:
         faults: List[InjectedFault] = []
         if self.fault_plan is not None:
             events, faults = self.fault_plan.apply(events, seed)
-        if self._live_engine == "fast":
-            walk, cold, steady = self._run_fast(
-                build, events, data_env, seed, sample_index
+        engine = self._live_engine
+        walk = walk_events(build.program, events, data_env, engine)
+        cold, steady = simulate_walk(walk, engine)
+        if engine == "fast" and self.guard_stride:
+            walk, cold, steady = self._guard(
+                build, events, data_env, seed, sample_index, walk, cold, steady
             )
-        else:
-            walk, cold, steady = _run_reference(build, events, data_env)
         rtt = self.latency.roundtrip_us(
             steady.time_us(), self.server_processing_us
         )
         return SampleResult(events=events, walk=walk, cold=cold,
                             steady=steady, roundtrip_us=rtt, faults=faults)
 
-    def _run_fast(
+    def _guard(
         self,
         build: BuildResult,
         events: List[Event],
         data_env: Dict[str, int],
         seed: int,
         sample_index: int,
+        walk: WalkResult,
+        cold: SimResult,
+        steady: SimResult,
     ) -> Tuple[WalkResult, SimResult, SimResult]:
-        """Fast-engine results, guarded when ``guard_stride`` is on.
+        """Check one fast-engine sample when ``guard_stride`` is on.
 
-        Every ``guard_stride``-th sample is replayed through the
+        Every ``guard_stride``-th sample's events are replayed on the
         reference walker and simulator; a mismatch is recorded as a
         :class:`DivergenceReport` and — under the default ``fallback``
         policy — the reference results are used and the experiment runs
         the reference engine from here on.
         """
-        checked = self.guard_stride > 0 and sample_index % self.guard_stride == 0
-        # walks consume list-valued conds in place, so the reference
-        # replay needs its own copy of the (possibly faulted) stream
-        ref_events = _clone_events(events) if checked else []
-        walk = FastWalker(build.program, data_env).walk(events)
-        cold, steady = simulate_cold_and_steady_cached(walk.packed)
-        if not self.guard_stride:
-            return walk, cold, steady
         # chaos hook: a "perturb" rule models a fast-engine bug by
         # skewing the stall count (snapshots are ours to mutate)
         steady.memory.stall_cycles += chaos.perturbation(
             self.config, seed, rules=self.settings.chaos
         )
-        if not checked:
+        if sample_index % self.guard_stride:
             return walk, cold, steady
-        reference = _run_reference(build, ref_events, data_env)
-        mismatches = compare_results((cold, steady), reference[1:])
+        ref_walk = walk_events(build.program, events, data_env, "reference")
+        ref_cold, ref_steady = simulate_walk(ref_walk, "reference")
+        mismatches = compare_results((cold, steady), (ref_cold, ref_steady))
         if not mismatches:
             return walk, cold, steady
         report = DivergenceReport(self.stack, self.config, seed, mismatches)
@@ -470,7 +474,7 @@ class Experiment:
         if self.on_divergence == "raise":
             raise EngineDivergence(report)
         self._live_engine = "reference"
-        return reference
+        return ref_walk, ref_cold, ref_steady
 
     def run(self, samples: Optional[int] = None) -> ExperimentResult:
         if samples is None:
@@ -483,16 +487,6 @@ class Experiment:
                 self.run_sample(build, self.sample_seed(i), sample_index=i)
             )
         return result
-
-
-def _run_reference(
-    build: BuildResult, events: List[Event], data_env: Dict[str, int]
-) -> Tuple[WalkResult, SimResult, SimResult]:
-    """The oracle path: object-per-instruction walk and simulator."""
-    walk = Walker(build.program, data_env).walk(list(events))
-    cold = MachineSimulator().run(walk.trace)
-    steady = MachineSimulator().run_steady_state(walk.trace)
-    return walk, cold, steady
 
 
 def run_all_configs(

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.arch.fastsim import FastMachine, Traceable
 from repro.arch.simulator import AlphaConfig, MachineSimulator, SimResult
 from repro.core.program import Program
-from repro.core.walker import Walker, WalkResult
+from repro.core.walker import WalkResult
 from repro.obs import Attribution, AttributionReport, ConflictMatrix, UNATTRIBUTED
 from repro.obs.attribution import ICACHE
 from repro.trace.tracer import call_counts
@@ -221,24 +221,20 @@ def profile_cell(
     numbers are identical to an unprofiled run and the attribution
     invariant is checked after every measured pass.
     """
-    from repro.api.settings import Settings
-    from repro.harness.configs import build_configured_program
-    from repro.harness.experiment import Experiment
+    from repro.harness.experiment import Experiment, walk_events
 
-    settings = Settings.from_env().with_engine(engine)
-    engine = settings.engine
-    exp = Experiment(stack, config, settings=settings)
+    exp = Experiment(stack, config, engine=engine)
+    program = exp.build().program
     events, data_env = exp.capture_roundtrip(seed)
-    build = build_configured_program(stack, config)
-    walk = Walker(build.program, data_env).walk(list(events))
+    walk = walk_events(program, events, data_env, exp.engine)
     cold_result, cold, steady_result, steady = attribute_passes(
-        walk, build.program, engine=engine, warmup_rounds=warmup_rounds
+        walk, program, engine=exp.engine, warmup_rounds=warmup_rounds
     )
 
     return CellProfile(
         stack=stack,
         config=config,
-        engine=engine,
+        engine=exp.engine,
         seed=seed,
         cold=cold,
         steady=steady,

@@ -13,7 +13,7 @@ from repro.core.metrics import (
     block_utilization,
     mainline_and_outlined_size,
 )
-from repro.harness.configs import STACKS, build_configured_program
+from repro.harness.configs import STACKS
 from repro.harness.experiment import Experiment, ExperimentResult, run_all_configs
 from repro.protocols.options import Section2Options
 
@@ -36,8 +36,7 @@ def compute_table1(*, seed: int = 42) -> Tuple[Dict[str, int], int]:
 
 def _trace_length(stack: str, opts: Section2Options, seed: int) -> int:
     exp = Experiment(stack, "STD", opts, base_seed=seed)
-    build = build_configured_program(stack, "STD", opts)
-    return exp.run_sample(build, seed).trace_length
+    return exp.run_sample(exp.build(), seed).trace_length
 
 
 # --------------------------------------------------------------------------- #
@@ -75,7 +74,7 @@ def compute_table3(*, seed: int = 42) -> Dict[str, Optional[int]]:
     the test program.
     """
     exp = Experiment("tcpip", "STD", base_seed=seed)
-    build = build_configured_program("tcpip", "STD", exp.opts)
+    build = exp.build()
     sample = exp.run_sample(build, seed)
     program = build.program
     trace = sample.walk.trace
@@ -163,7 +162,7 @@ def compute_table9(*, seed: int = 42) -> Dict[str, Dict[str, float]]:
         measured: Dict[str, float] = {}
         for label, config in (("without", "STD"), ("with", "OUT")):
             exp = Experiment(stack, config, base_seed=seed)
-            build = build_configured_program(stack, config, exp.opts)
+            build = exp.build()
             sample = exp.run_sample(build, seed)
             util = block_utilization(sample.walk.trace)
             measured[f"unused_{label}"] = util.unused_fraction

@@ -162,16 +162,13 @@ class SearchResult:
 
 
 def _profile_conflicts(evaluator: CellEvaluator) -> ConflictMatrix:
-    """One attributed cold+steady pass on the default layout; returns the
-    steady-state eviction matrix that seeds the conflict placer."""
-    from repro.core.fastwalk import FastWalker
+    """One attributed cold+steady pass of the evaluator's default-layout
+    walk (so it must run before any candidate re-lays the program out);
+    returns the steady-state eviction matrix that seeds the conflict
+    placer."""
     from repro.harness.profile import attribute_passes
 
-    program = evaluator.program
-    walk = FastWalker(program, dict(evaluator._data_env)).walk(
-        evaluator._clone_events(evaluator._events)
-    )
-    return attribute_passes(walk, program)[3].conflicts
+    return attribute_passes(evaluator.walk, evaluator.program)[3].conflicts
 
 
 def _fingerprint(placements: Placements) -> Tuple:

@@ -4,11 +4,11 @@ One :class:`CellEvaluator` owns a *private* build of its (stack, config)
 cell — candidate layouts are applied in place, so the shared build memo
 must never see this program — plus one captured roundtrip.  Scoring a
 candidate is then: re-lay the program out, drop the walk-template cache
-(templates embed absolute pcs), walk a fresh clone of the captured
-events, and simulate cold + steady through the fast engine's cached
-kernel.  Identical candidate layouts produce identical packed traces, so
-duplicate candidates across rounds hit the simulation result cache and
-cost microseconds, not milliseconds.
+(templates embed absolute pcs), walk the captured events (walks never
+modify them), and simulate cold + steady on the evaluator's engine.  On
+the fast engine identical candidate layouts produce identical packed
+traces, so duplicate candidates across rounds hit the simulation result
+cache and cost microseconds, not milliseconds.
 
 The static prefilter avoids the walk+simulate cost entirely for
 obviously-bad candidates: it combines the shared placement-cost model
@@ -30,14 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.settings import Settings
 from repro.arch.memory import MemoryConfig
-from repro.arch.simcache import simulate_cold_and_steady_cached
-from repro.arch.simulator import MachineSimulator
-from repro.core.fastwalk import FastWalker
 from repro.core.layout import BLOCK
 from repro.core.metrics import trace_block_touches
 from repro.core.placement import steady_replacement_misses
 from repro.core.program import Program
-from repro.core.walker import Walker
 from repro.search.artifact import NSETS
 
 Placements = Dict[str, int]
@@ -91,14 +87,13 @@ class CellEvaluator:
         base_seed: int = 42,
     ) -> None:
         from repro.harness.configs import build_configured_program
-        from repro.harness.experiment import Experiment, _clone_events
+        from repro.harness.experiment import Experiment, walk_events
 
         self.stack = stack
         self.config = config
         self.settings = settings if settings is not None else Settings.from_env()
         self.engine = self.settings.engine
         self.base_seed = base_seed
-        self._clone_events = _clone_events
         self._exp = Experiment(
             stack, config, opts, settings=self.settings, base_seed=base_seed
         )
@@ -110,13 +105,12 @@ class CellEvaluator:
             for name in self.program.names()
         }
         self._events, self._data_env = self._exp.capture_roundtrip(base_seed)
+        #: the captured roundtrip walked on the default layout
+        self.walk = walk_events(self.program, self._events, self._data_env, self.engine)
         # the block trace (function, block-offset) is layout-independent:
         # compute it once on the default layout and reuse for every
         # candidate's static cost
-        walk = FastWalker(self.program, dict(self._data_env)).walk(
-            self._clone_events(self._events)
-        )
-        self.block_trace = trace_block_touches(walk.trace, self.program)
+        self.block_trace = trace_block_touches(self.walk.trace, self.program)
         self.touch_freq: Dict[str, int] = {}
         for name, _ in self.block_trace:
             self.touch_freq[name] = self.touch_freq.get(name, 0) + 1
@@ -125,7 +119,7 @@ class CellEvaluator:
         # layout for the certified lower-bound prefilter
         from repro.analysis.bounds import digest_trace
 
-        self.digest = digest_trace(walk.packed, self.program)
+        self.digest = digest_trace(self.walk.packed, self.program)
         self.evaluated = 0
 
     # ---- static prefilter ------------------------------------------- #
@@ -195,17 +189,12 @@ class CellEvaluator:
 
     def score(self, placements: Placements) -> Score:
         """Walk + simulate one candidate; bit-identical across engines."""
+        from repro.harness.experiment import simulate_walk, walk_events
+
         self.program.layout(lambda p: dict(placements))
         _clear_walk_templates(self.program)
-        events = self._clone_events(self._events)
-        data_env = dict(self._data_env)
-        if self.engine == "reference":
-            walk = Walker(self.program, data_env).walk(list(events))
-            cold = MachineSimulator().run(walk.trace)
-            steady = MachineSimulator().run_steady_state(walk.trace)
-        else:
-            walk = FastWalker(self.program, data_env).walk(events)
-            cold, steady = simulate_cold_and_steady_cached(walk.packed)
+        walk = walk_events(self.program, self._events, self._data_env, self.engine)
+        cold, steady = simulate_walk(walk, self.engine)
         rtt = self._exp.latency.roundtrip_us(
             steady.time_us(), self._exp.server_processing_us
         )

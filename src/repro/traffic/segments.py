@@ -27,8 +27,7 @@ from repro.arch.cpu import CpuStats
 from repro.arch.fastsim import cpu_pass
 from repro.arch.packed import PackedTrace
 from repro.core.fastwalk import FastWalker
-from repro.core.walker import EnterEvent, Event, ExitEvent, MarkEvent
-from repro.harness.configs import build_configured_program_cached
+from repro.core.walker import EnterEvent, Event, ExitEvent, clone_events
 from repro.harness.experiment import Experiment
 from repro.traffic.flowtable import LayerOutcome
 from repro.xkernel.map import CacheScheme, OneEntryCache
@@ -125,27 +124,6 @@ def _snapshot_conds(events: List[Event]) -> None:
                     ev.conds[key] = value()
 
 
-def _clone_span(events: List[Event]) -> List[Event]:
-    out: List[Event] = []  # bounded: one entry per event of the span
-    for ev in events:
-        if isinstance(ev, EnterEvent):
-            out.append(
-                EnterEvent(
-                    ev.fn,
-                    {
-                        k: (list(v) if isinstance(v, list) else v)
-                        for k, v in ev.conds.items()
-                    },
-                    dict(ev.data),
-                )
-            )
-        elif isinstance(ev, ExitEvent):
-            out.append(ExitEvent(ev.fn))
-        else:
-            out.append(MarkEvent(ev.name))
-    return out
-
-
 def extract_demux_span(events: List[Event]) -> List[Event]:
     """The balanced top-level ``eth_demux`` slice of a captured stream."""
     depth = 0
@@ -188,7 +166,7 @@ class SegmentLibrary:
         self.image_offset = image_offset
         exp = Experiment(stack, config)
         events, self._data_env = exp.capture_roundtrip(capture_seed)
-        self._build = build_configured_program_cached(stack, config, exp.opts)
+        self._build = exp.build()
         self._span = extract_demux_span(events)
         _snapshot_conds(self._span)
         self._layer_events = self._locate_layers()
@@ -274,7 +252,7 @@ class SegmentLibrary:
             return cached
         _population, eth, ip, l4, established = variant[:5]
         fault = variant[5] if len(variant) > 5 else None
-        span = _clone_span(self._span)
+        span = clone_events(self._span)
         alive_before = len(span)  # layer events at indexes below survive
         if fault is not None:
             recipes = FAULT_RECIPES[self.stack]

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.arch.isa import Op
+from repro.core.fastwalk import FastWalker
 from repro.core.ir import FunctionBuilder
 from repro.core.layout import link_order_layout
 from repro.core.program import Program
-from repro.core.walker import EnterEvent, ExitEvent, MarkEvent, Walker, WalkError
+from repro.core.walker import (
+    EnterEvent, ExitEvent, MarkEvent, Walker, WalkError, clone_events,
+)
+from repro.faults.plan import FaultPlan
+from repro.harness.configs import build_configured_program
+from repro.harness.experiment import Experiment
 
 
 def build_program(*fns):
@@ -255,3 +261,31 @@ class TestMarks:
         res = Walker(p).walk([EnterEvent("f"), ExitEvent("f")])
         with pytest.raises(KeyError):
             res.mark_index("nope")
+
+
+class TestPurity:
+    """A walk only reads its events, so one stream can be walked again."""
+
+    @pytest.mark.parametrize("walker", [Walker, FastWalker],
+                             ids=["reference", "fast"])
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["captured", "fault-plan"])
+    @pytest.mark.parametrize("stack", ["tcpip", "rpc"])
+    def test_walks_leave_events_unchanged(self, stack, faulted, walker):
+        events, data_env = Experiment(stack, "STD").capture_roundtrip(42)
+        if faulted:
+            plan = FaultPlan(stack=stack, rate=0.5, seed=5)
+            events, injected = plan.apply(events, 42)
+            assert injected
+        # list-valued conds are what a consuming walk would pop
+        assert any(isinstance(v, list) for ev in events
+                   if isinstance(ev, EnterEvent) for v in ev.conds.values())
+        before = clone_events(events)
+        # a fresh build has no walk templates: the first walk is a full one
+        program = build_configured_program(stack, "STD").program
+        first = walker(program, data_env).walk(events)
+        assert events == before
+        second = walker(program, data_env).walk(events)
+        assert events == before
+        assert second.packed.fingerprint() == first.packed.fingerprint()
+        assert second.marks == first.marks

@@ -11,9 +11,10 @@ import pytest
 from repro.arch.simcache import simulate_cold_and_steady_cached
 from repro.arch.simulator import AlphaConfig, MachineSimulator
 from repro.core.fastwalk import FastWalker
+from repro.core.walker import clone_events
 from repro.datalayout import DATA_TECHNIQUES
 from repro.harness.configs import CONFIG_NAMES, build_configured_program
-from repro.harness.experiment import Experiment, _clone_events
+from repro.harness.experiment import Experiment
 
 CELLS = [(stack, config) for stack in ("tcpip", "rpc") for config in CONFIG_NAMES]
 STORE_MODES = ("coalesce", "stream", "all")
@@ -40,7 +41,7 @@ def walks():
             events, data_env = exp.capture_roundtrip(42)
             out[(name, stack, config)] = FastWalker(
                 build.program, dict(data_env)
-            ).walk(_clone_events(events))
+            ).walk(clone_events(events))
     return out
 
 

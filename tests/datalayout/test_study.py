@@ -5,6 +5,7 @@ import pytest
 from repro.arch.fastsim import FastMachine
 from repro.arch.simulator import AlphaConfig
 from repro.core.fastwalk import FastWalker
+from repro.core.walker import clone_events
 from repro.datalayout import (
     DATA_TECHNIQUES,
     TECHNIQUE_NAMES,
@@ -13,7 +14,7 @@ from repro.datalayout import (
     run_datalayout_study,
 )
 from repro.harness.configs import build_configured_program
-from repro.harness.experiment import Experiment, _clone_events
+from repro.harness.experiment import Experiment
 from repro.obs import Attribution
 
 
@@ -132,7 +133,7 @@ class TestAttributionPasses:
             block_size=technique.memory().block_size,
         )
         events, data_env = Experiment("tcpip", "STD").capture_roundtrip(42)
-        walk = FastWalker(build.program, dict(data_env)).walk(_clone_events(events))
+        walk = FastWalker(build.program, dict(data_env)).walk(clone_events(events))
         config = AlphaConfig(memory=technique.memory())
         sink = Attribution(build.program, config=config)
         machine = FastMachine(config, sink=sink)

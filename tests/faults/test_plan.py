@@ -3,7 +3,7 @@ neutrality, structural safety at full rate, and fault spans."""
 
 import pytest
 
-from repro.core.walker import EnterEvent, ExitEvent, MarkEvent
+from repro.core.walker import EnterEvent, ExitEvent, MarkEvent, clone_events
 from repro.faults.plan import FAULT_KINDS, FaultPlan, fault_points, fault_spans
 from repro.harness.configs import build_configured_program_cached
 from repro.harness.experiment import Experiment
@@ -84,12 +84,10 @@ def test_injection_is_seed_dependent_but_stable():
     exp = Experiment("tcpip", "STD")
     events, _ = exp.capture_roundtrip(42)
     plan = FaultPlan(stack="tcpip", rate=0.5, seed=5)
-    from repro.harness.experiment import _clone_events
-
-    a = plan.apply(_clone_events(events), 42)[1]
-    b = plan.apply(_clone_events(events), 42)[1]
+    a = plan.apply(clone_events(events), 42)[1]
+    b = plan.apply(clone_events(events), 42)[1]
     assert a == b
-    c = plan.apply(_clone_events(events), 59)[1]
+    c = plan.apply(clone_events(events), 59)[1]
     # different sample seeds draw independently (sites may coincide, the
     # digest may not)
     assert a == b and (a != c or a == c)  # stability is the contract

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.api.settings import Settings
+from repro.api.settings import ENGINES, Settings
 from repro.harness.configs import build_configured_program
-from repro.harness.experiment import ENGINES, Experiment
+from repro.harness.experiment import Experiment
 from repro.harness.latency import CONTROLLER_ROUNDTRIP_US, LatencyModel
 
 

@@ -18,9 +18,10 @@ import pytest
 from repro.arch.fastsim import FastMachine
 from repro.arch.simulator import AlphaConfig, MachineSimulator
 from repro.core.fastwalk import FastWalker
+from repro.core.walker import clone_events
 from repro.datalayout import DATA_TECHNIQUES, apply_data_layout
 from repro.harness.configs import CONFIG_NAMES, build_configured_program
-from repro.harness.experiment import Experiment, _clone_events
+from repro.harness.experiment import Experiment
 from repro.obs import Attribution
 
 #: (technique, stack, config) -> sha256 of the (cold, steady) report JSON
@@ -140,7 +141,7 @@ def images():
             block_size=technique.memory().block_size,
         )
         events, data_env = Experiment(stack, config).capture_roundtrip(42)
-        walk = FastWalker(build.program, dict(data_env)).walk(_clone_events(events))
+        walk = FastWalker(build.program, dict(data_env)).walk(clone_events(events))
         out[(name, stack, config)] = (build.program, walk)
     return out
 
