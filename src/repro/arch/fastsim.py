@@ -69,6 +69,9 @@ def _build_pair_table() -> bytes:
 _PAIR = _build_pair_table()
 _MUL_CODE = OP_CODES[Op.MUL]
 
+#: the (resident, i_ever, d_ever, b_ever) token parts of a cold machine
+_COLD_SETS = (frozenset(), frozenset(), frozenset(), frozenset())
+
 
 def as_packed(trace: Traceable) -> PackedTrace:
     if isinstance(trace, PackedTrace):
@@ -258,6 +261,10 @@ class FastMachine:
         #            b_acc, b_miss, b_repl, wb_acc, wb_miss,
         #            stall, instructions, sb_hits, wb_evictions]
         self._c = [0] * 15
+        # the set parts (resident, i_ever, d_ever, b_ever) of the last
+        # token this machine made or restored, and its b-miss count then
+        self._held = _COLD_SETS
+        self._held_b_miss = 0
 
     # ------------------------------------------------------------------ #
     # observation (mirrors MemoryHierarchy.stats)                        #
@@ -549,9 +556,28 @@ class FastMachine:
         every tag the kernel installs is in ``b_ever``.  Two tokens are
         therefore equal exactly when the two states are, and a token costs
         O(|b_ever|) rather than O(b-cache sets).
+
+        A token shares the set parts of the last token this machine made
+        or restored where they cannot have changed: an ever-resident set
+        only grows, so one of unchanged size is the same set, and tags are
+        written only on a b-cache miss, so an unchanged b-miss count means
+        the same resident blocks.  Equal states still give equal tokens,
+        and interned states share their sets instead of copying them.
         """
-        bt = self._btags
-        n = self._b_nblocks
+        resident, i_ever, d_ever, b_ever = self._held
+        b_miss = self._c[7]
+        if b_miss != self._held_b_miss:
+            bt = self._btags
+            n = self._b_nblocks
+            resident = frozenset([b for b in self._b_ever if bt[b % n] == b])
+        if len(self._i_ever) != len(i_ever):
+            i_ever = frozenset(self._i_ever)
+        if len(self._d_ever) != len(d_ever):
+            d_ever = frozenset(self._d_ever)
+        if len(self._b_ever) != len(b_ever):
+            b_ever = frozenset(self._b_ever)
+        self._held = (resident, i_ever, d_ever, b_ever)
+        self._held_b_miss = b_miss
         if self._coalescing:
             wb_tok: tuple = tuple(
                 (pair, tuple(self._wb_pairs[pair])) for pair in self._wb
@@ -561,10 +587,10 @@ class FastMachine:
         return (
             tuple(self._itags),
             tuple(self._dtags),
-            frozenset([b for b in self._b_ever if bt[b % n] == b]),
-            frozenset(self._i_ever),
-            frozenset(self._d_ever),
-            frozenset(self._b_ever),
+            resident,
+            i_ever,
+            d_ever,
+            b_ever,
             wb_tok,
             self._sb_block,
             self._sb_was_miss,
@@ -573,21 +599,38 @@ class FastMachine:
     def restore_state(self, snap: tuple) -> None:
         """Restore a :meth:`snapshot_state` token (counters untouched).
 
-        Only the sets of the current ``b_ever`` can hold a tag, so those
-        are cleared and the token's resident blocks written back.
+        While no b-cache miss has happened since the machine's last token,
+        its tags still hold that token's resident blocks, so only the
+        blocks where the two resident sets differ are rewritten; otherwise
+        the sets of the current ``b_ever`` (the only ones that can hold a
+        tag) are cleared and the token's resident blocks written back.  An
+        ever-resident set the machine already holds is kept.
         """
         itags, dtags, resident, i_ever, d_ever, b_ever, wb, sb, sbm = snap
         self._itags[:] = itags
         self._dtags[:] = dtags
         bt = self._btags
         n = self._b_nblocks
-        for b in self._b_ever:
-            bt[b % n] = -1
-        for b in resident:
-            bt[b % n] = b
-        self._i_ever = set(i_ever)
-        self._d_ever = set(d_ever)
-        self._b_ever = set(b_ever)
+        held, held_i, held_d, held_b = self._held
+        b_miss = self._c[7]
+        if b_miss != self._held_b_miss:
+            for b in self._b_ever:
+                bt[b % n] = -1
+            for b in resident:
+                bt[b % n] = b
+        elif resident is not held:
+            for b in held - resident:
+                bt[b % n] = -1
+            for b in resident - held:
+                bt[b % n] = b
+        if i_ever is not held_i or len(self._i_ever) != len(held_i):
+            self._i_ever = set(i_ever)
+        if d_ever is not held_d or len(self._d_ever) != len(held_d):
+            self._d_ever = set(d_ever)
+        if b_ever is not held_b or len(self._b_ever) != len(held_b):
+            self._b_ever = set(b_ever)
+        self._held = (resident, i_ever, d_ever, b_ever)
+        self._held_b_miss = b_miss
         if self._coalescing:
             self._wb = [pair for pair, _ in wb]
             self._wb_pairs = {pair: list(blocks) for pair, blocks in wb}

@@ -164,7 +164,10 @@ class FlowTables:
         l4 = self.l4
         l4.resolve_or_none(_key(uid) if key is None else key)
         last = l4.last
-        return pre[0], pre[1], (last.hit, last.probes, min(last.chain, self._cap))
+        chain = last.chain
+        if chain > self._cap:
+            chain = self._cap
+        return pre[0], pre[1], (last.hit, last.probes, chain)
 
     def probe_pre_l4(self) -> PreL4Outcome:
         """Demultiplex a packet that dies before the l4 lookup (a

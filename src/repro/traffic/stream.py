@@ -6,15 +6,21 @@ bit-identical hierarchy state always produces the identical counter
 delta and exit state — the stream is a walk over a small
 deterministic transition graph: nodes are interned machine states,
 edges are (state, segment) pairs.  Each edge is simulated **once**; from
-then on, feeding that segment in that state costs one dict lookup and a
-counter increment.  Totals are accumulated per phase as
+then on, feeding that segment in that state costs one edge lookup and
+one edge-count increment.  Totals are accumulated per phase as
 ``sum(fire_count x delta)`` per edge, which is exactly what sequential
-simulation would have accumulated.
+simulation would have accumulated; per-segment counts are derived from
+the same edge counts.
 
-This is why the engine can push >1M packets/s through a cycle-exact
-model, and why its tables match sequential simulation bit for bit: each
-edge's delta is exact, and the edge counts are a function of the spec
-alone.
+This is why a cycle-exact model streams packets at the speed of its
+per-packet Python loop, and why its tables match sequential simulation
+bit for bit: each edge's delta is exact, and the edge counts are a
+function of the spec alone.  The 1M-packet Zipf acceptance cell streams
+~506k packets/s in the benchmark suite's reference seconds (an unloaded
+2-vCPU Intel Xeon KVM guest, Python 3.11; median of ten runs of
+``benchmarks/suite/run.py --workload stream-zipf``), and
+``BENCH_traffic.json`` records the wall-clock rate that
+``benchmarks/bench_traffic.py`` measures on the same cell.
 
 Both memo tables are **bounded**.  The interned-state table and the
 edge-delta table are LRU caches (``state_cap`` / ``edge_cap``); on
@@ -44,8 +50,12 @@ from repro.arch.simulator import AlphaConfig
 from repro.arch.fastsim import FastMachine
 
 #: counter indices in the fast engine's 15-counter delta layout
-_STALL = 11
-_INSTR = 12
+STALL = 11
+INSTRUCTIONS = 12
+
+#: the state id of a degraded stream: it names no interned state, so no
+#: edge out of it is memoized and every feed takes the simulating path
+_DEGRADED = -1
 
 
 class StreamExactnessError(RuntimeError):
@@ -75,11 +85,12 @@ def make_stream_machine(engine: str, config: Optional[AlphaConfig] = None):
 class TransitionStream:
     """Exact streaming over one persistent machine via edge memoization.
 
-    ``feed(seg_key, packed_fn)`` advances the logical stream by one
-    segment and returns the segment's exact 15-counter delta.
-    ``packed_fn`` is only called when the edge is novel (the segment
-    library walks lazily).  ``start_phase`` opens a new counting window
-    (warm-up vs steady) without touching machine state.
+    ``feed(key, packed_fn)`` advances the logical stream by one segment
+    and returns the segment's exact 15-counter delta.  ``packed_fn(key)``
+    is called only when the edge is novel (or the stream is degraded),
+    so one callback serves a whole stream and the segment library walks
+    lazily.  ``start_phase`` opens a new counting window (warm-up vs
+    steady) without touching machine state.
     """
 
     def __init__(
@@ -120,14 +131,18 @@ class TransitionStream:
         #: cross-check on its re-simulation
         # bounded: FIFO-capped at edge_cap entries (see _drop_edge)
         self._evicted_deltas: "OrderedDict[tuple, Tuple[int, ...]]" = OrderedDict()
+        #: the logical stream's state id (_DEGRADED once the watchdog
+        #: trips) and the state the machine physically holds
         self._cur = 0
         self._phys = 0
+        #: the segment id of the latest feed: ids are dense and assigned
+        #: in first-feed order, so callers can key per-segment values on it
+        self.last_seg = -1
         self.novel_passes = 0
         self.edge_evictions = 0
         self.state_evictions = 0
         self.exactness_checks = 0
         self._interned = 0
-        self._degraded = False
         #: segment key -> small int, assigned on its first feed, so the
         #: per-packet tables below key on (state id, segment id) int pairs
         # bounded: the segment library's variant alphabet
@@ -135,16 +150,17 @@ class TransitionStream:
         #: segment id -> the key it stands for
         # bounded: the segment library's variant alphabet
         self._seg_keys: List[Hashable] = []
-        #: per-phase accounting: base totals absorb evicted (and
-        #: degraded-mode) deltas; live edges stay as counts so the hot
-        #: path is one Counter increment
+        #: per-phase accounting: base totals and base segment counts
+        #: absorb evicted (and degraded-mode) passes; live edges stay as
+        #: counts, so the hot path is one Counter increment and segment
+        #: counts derive from edge counts
         # bounded: one entry per phase (warmup/steady)
         self._phases: Dict[str, Tuple[List[int], Counter, Counter]] = {}
         self._base: List[int] = [0] * 15
         # bounded: flushed into _base when its edge is evicted
         self._ecounts: Counter = Counter()
         # bounded: the segment library's variant alphabet
-        self._segs: Counter = Counter()
+        self._base_segs: Counter = Counter()
 
     # ------------------------------------------------------------------ #
     # phases                                                             #
@@ -155,8 +171,8 @@ class TransitionStream:
         # bounded: flushed into _base when its edge is evicted
         self._ecounts = Counter()
         # bounded: the segment library's variant alphabet
-        self._segs = Counter()
-        self._phases[name] = (self._base, self._ecounts, self._segs)
+        self._base_segs = Counter()
+        self._phases[name] = (self._base, self._ecounts, self._base_segs)
 
     # ------------------------------------------------------------------ #
     # streaming                                                          #
@@ -217,21 +233,33 @@ class TransitionStream:
         ins = self._in_edges.get(next_id)
         if ins is not None:
             ins.discard(edge)
-        for base, ecounts, _segs in self._phases.values():
+        for base, ecounts, base_segs in self._phases.values():
             fired = ecounts.pop(edge, 0)
             if fired:
                 for i in range(15):
                     base[i] += fired * delta[i]
+                base_segs[edge[1]] += fired
         self._evicted_deltas[edge] = delta
         if len(self._evicted_deltas) > self._edge_cap:
             self._evicted_deltas.popitem(last=False)
         self.edge_evictions += 1
 
-    def _novel_pass(self, edge: tuple, packed_fn: Callable) -> Tuple[int, ...]:
+    def _novel_pass(
+        self, edge: Tuple[int, int], key: Hashable, packed_fn: Callable
+    ) -> Tuple[int, ...]:
+        """Feed an edge the memo does not hold: simulate it once and
+        memoize it, or, once degraded, simulate it into the base totals."""
+        if self._cur == _DEGRADED:
+            delta = tuple(self._m.mem_delta(packed_fn(key)))
+            base = self._base
+            for i in range(15):
+                base[i] += delta[i]
+            self._base_segs[edge[1]] += 1
+            return delta
         if self._phys != self._cur:
             self._restore(self._cur)
         t0 = time.perf_counter() if self._watchdog_s is not None else 0.0
-        delta = tuple(self._m.mem_delta(packed_fn()))
+        delta = tuple(self._m.mem_delta(packed_fn(key)))
         next_id = self._intern(self._m.snapshot_state())
         prior = self._evicted_deltas.pop(edge, None)
         if prior is not None:
@@ -249,39 +277,39 @@ class TransitionStream:
             self._drop_edge(next(iter(self._edges)))
         self._cur = self._phys = next_id
         self.novel_passes += 1
+        self._ecounts[edge] += 1
         if self._watchdog_s is not None:
             self._memo_spent += time.perf_counter() - t0
             if self._memo_spent > self._watchdog_s:
                 # too long inside memo machinery: fall back to plain
-                # sequential simulation (machine is at _cur already)
-                self._degraded = True
+                # sequential simulation (the machine holds the state
+                # this pass left it in)
+                self._cur = _DEGRADED
         return delta
 
-    def feed(self, seg_key: Hashable, packed_fn: Callable) -> Tuple[int, ...]:
-        """Advance the stream one segment; return its exact delta."""
-        seg = self._seg_ids.get(seg_key)
+    def feed(self, key: Hashable, packed_fn: Callable) -> Tuple[int, ...]:
+        """Advance the stream one segment; return its exact delta.
+
+        ``packed_fn(key)`` supplies the segment's packed trace, and is
+        called only on a novel edge.  A memo hit costs one edge lookup,
+        its LRU touch and one edge-count increment; a self-loop skips the
+        state-LRU touch, because its state already heads that LRU.
+        """
+        seg = self._seg_ids.get(key)
         if seg is None:
-            seg = self._seg_ids[seg_key] = len(self._seg_keys)
-            self._seg_keys.append(seg_key)
-        if self._degraded:
-            delta = tuple(self._m.mem_delta(packed_fn()))
-            base = self._base
-            for i in range(15):
-                base[i] += delta[i]
-            self._segs[seg] += 1
-            return delta
+            seg = self._seg_ids[key] = len(self._seg_keys)
+            self._seg_keys.append(key)
+        self.last_seg = seg
         edge = (self._cur, seg)
         known = self._edges.get(edge)
         if known is None:
-            delta = self._novel_pass(edge, packed_fn)
-        else:
-            self._edges.move_to_end(edge)
-            next_id = known[0]
+            return self._novel_pass(edge, key, packed_fn)
+        self._edges.move_to_end(edge)
+        next_id, delta = known
+        if next_id != self._cur:
             self._state_lru.move_to_end(next_id)
             self._cur = next_id
-            delta = known[1]
         self._ecounts[edge] += 1
-        self._segs[seg] += 1
         return delta
 
     # ------------------------------------------------------------------ #
@@ -291,7 +319,7 @@ class TransitionStream:
     @property
     def degraded(self) -> bool:
         """True once the watchdog forced segment-by-segment simulation."""
-        return self._degraded
+        return self._cur == _DEGRADED
 
     @property
     def memo_evictions(self) -> int:
@@ -322,11 +350,12 @@ class TransitionStream:
         return totals
 
     def phase_seg_counts(self, name: str) -> Counter:
-        """Fire counts per segment key (for CPU-side aggregation)."""
-        _base, _ecounts, segs = self._phases[name]
+        """Fire counts per segment key (for CPU-side aggregation): the
+        base counts of evicted edges and degraded passes plus the live
+        edges' fire counts."""
+        _base, ecounts, base_segs = self._phases[name]
+        segs = Counter(base_segs)
+        for (_state, seg), fired in ecounts.items():
+            segs[seg] += fired
         keys = self._seg_keys
         return Counter({keys[seg]: fired for seg, fired in segs.items()})
-
-    @staticmethod
-    def stall_and_instructions(counters: List[int]) -> Tuple[int, int]:
-        return counters[_STALL], counters[_INSTR]

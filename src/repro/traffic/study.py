@@ -17,12 +17,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.packed import PackedTrace
 from repro.arch.simulator import AlphaConfig
 from repro.traffic.arrivals import SCAN, ArrivalSampler
 from repro.traffic.flowtable import FlowTables
 from repro.traffic.segments import SegmentLibrary
 from repro.traffic.spec import MIXES, TrafficSpec
-from repro.traffic.stream import TransitionStream, make_stream_machine
+from repro.traffic.stream import (
+    INSTRUCTIONS,
+    STALL,
+    TransitionStream,
+    make_stream_machine,
+)
 from repro.xkernel.map import SCHEME_SPECS, make_scheme
 
 if TYPE_CHECKING:  # resilience layers on traffic, never the reverse
@@ -238,9 +244,6 @@ def run_traffic_point(
     in_scope = faults.scope_filter(spec) if faults is not None else None
     collect_services = collect.services if collect is not None else None
     fault_counts = collect.faults if collect is not None else None
-    #: each variant's segment CPU cycles, looked up once for the collector
-    # bounded: one entry per variant of the segment alphabet
-    variant_cycles: Dict[tuple, int] = {}
     tables = {
         pop: FlowTables(spec, scheme_spec, population=pop) for pop in populations
     }
@@ -270,95 +273,102 @@ def run_traffic_point(
         edge_cap=spec.memo_edge_cap,
         watchdog_s=watchdog_s,
     )
-    stream.start_phase("warmup")
-    in_warmup = spec.warmup_packets > 0
-    if not in_warmup:
-        stream.start_phase("steady")
+    feed = stream.feed
+    next_slot = sampler.next
 
-    for packet_index in range(spec.packets):
-        if in_warmup and packet_index == spec.warmup_packets:
-            stream.start_phase("steady")
-            in_warmup = False
-        if churn and rng.random() < churn:
-            victim = rng.randrange(spec.flows)
-            pop = slot_pop[victim]
-            tables[pop].close_flow(slot_uid[victim])
-            slot_uid[victim] = next_uid
-            slot_established[victim] = False
-            tables[pop].open_flow(next_uid)
-            next_uid += 1
-        slot = sampler.next()
-        kind = None
-        if profile_draw is not None:
-            kind = profile_draw()
-            if kind is not None and in_scope is not None and not in_scope(slot):
-                kind = None
-            if kind == "duplicated_packet" and slot == SCAN:
-                kind = None  # a duplicate needs a bound flow to duplicate
-        if kind is None:
-            # pristine classification — byte-for-byte the no-fault path
-            if slot == SCAN:
-                pop = (
-                    populations[0]
-                    if len(populations) == 1
-                    else ("rpc" if rng.random() < spec.rpc_fraction else "tcp")
-                )
-                eth, ip, l4 = tables[pop].probe_packet(next_uid)
-                next_uid += 1
-                established = False
-            else:
-                pop = slot_pop[slot]
-                eth, ip, l4 = tables[pop].probe_packet(slot_uid[slot])
-                established = slot_established[slot]
-                slot_established[slot] = True
-            variant = (pop, eth, ip, l4, established)
-        else:
-            if slot == SCAN:
-                pop = (
-                    populations[0]
-                    if len(populations) == 1
-                    else ("rpc" if rng.random() < spec.rpc_fraction else "tcp")
-                )
-            else:
-                pop = slot_pop[slot]
-            table = tables[pop]
-            if kind == "bad_demux_key":
-                # a garbled key is a real unknown-key lookup: it misses
-                # every cache and walks the full chain, byte-for-byte
-                # the trace a scan packet already pays — no new segment
-                eth, ip, l4 = table.probe_packet(next_uid)
-                next_uid += 1
-                variant = (pop, eth, ip, l4, False)
-            elif kind == "truncated_header":
-                # the runt check rejects before any demux map is touched
-                ip_outcome = _ABSENT if table.ip is not None else None
-                variant = (pop, _ABSENT, ip_outcome, _ABSENT, False, kind)
-            elif kind == "corrupt_checksum":
-                # eth (and ip) demux paid in full, l4 never consulted
-                eth, ip = table.probe_pre_l4()
-                variant = (pop, eth, ip, _ABSENT, False, kind)
-            else:  # duplicated_packet, on a bound flow
-                # re-probed like any segment, then suppressed on the
-                # no-progress leg; established is forced (a duplicate is
-                # of a segment the flow already processed) and the slot's
-                # own establishment is untouched — suppression is not
-                # progress
-                eth, ip, l4 = table.probe_packet(slot_uid[slot])
-                variant = (pop, eth, ip, l4, True, kind)
-            if fault_counts is not None:
-                fault_counts[kind] += 1
-        lib = libraries[pop]
-        scheme = schemes[pop]
-        delta = stream.feed(variant, lambda: lib.segment(variant, scheme)[0])
-        if collect_services is not None:
-            cycles = variant_cycles.get(variant)
-            if cycles is None:
-                cycles = lib.segment(variant, scheme)[1].cycles
-                variant_cycles[variant] = cycles
-            stall, _instr = TransitionStream.stall_and_instructions(delta)
-            collect_services.append(stall + cycles)
+    def segment_of(variant: tuple) -> PackedTrace:
+        """The packed segment of a variant (called on novel edges only)."""
+        pop = variant[0]
+        return libraries[pop].segment(variant, schemes[pop])[0]
 
-    warm = stream.phase_counters("warmup") if spec.warmup_packets else [0] * 15
+    #: each segment's CPU cycles, looked up once for the collector
+    # bounded: one entry per segment of the variant alphabet
+    seg_cycles: Dict[int, int] = {}
+    phases = (
+        ("warmup", spec.warmup_packets),
+        ("steady", spec.packets - spec.warmup_packets),
+    )
+    for phase, packets in phases:
+        stream.start_phase(phase)
+        for _ in range(packets):
+            if churn and rng.random() < churn:
+                victim = rng.randrange(spec.flows)
+                pop = slot_pop[victim]
+                tables[pop].close_flow(slot_uid[victim])
+                slot_uid[victim] = next_uid
+                slot_established[victim] = False
+                tables[pop].open_flow(next_uid)
+                next_uid += 1
+            slot = next_slot()
+            kind = None
+            if profile_draw is not None:
+                kind = profile_draw()
+                if kind is not None and in_scope is not None and not in_scope(slot):
+                    kind = None
+                if kind == "duplicated_packet" and slot == SCAN:
+                    kind = None  # a duplicate needs a bound flow to duplicate
+            if kind is None:
+                # pristine classification — byte-for-byte the no-fault path
+                if slot == SCAN:
+                    pop = (
+                        populations[0]
+                        if len(populations) == 1
+                        else ("rpc" if rng.random() < spec.rpc_fraction else "tcp")
+                    )
+                    eth, ip, l4 = tables[pop].probe_packet(next_uid)
+                    next_uid += 1
+                    established = False
+                else:
+                    pop = slot_pop[slot]
+                    eth, ip, l4 = tables[pop].probe_packet(slot_uid[slot])
+                    established = slot_established[slot]
+                    slot_established[slot] = True
+                variant = (pop, eth, ip, l4, established)
+            else:
+                if slot == SCAN:
+                    pop = (
+                        populations[0]
+                        if len(populations) == 1
+                        else ("rpc" if rng.random() < spec.rpc_fraction else "tcp")
+                    )
+                else:
+                    pop = slot_pop[slot]
+                table = tables[pop]
+                if kind == "bad_demux_key":
+                    # a garbled key is a real unknown-key lookup: it misses
+                    # every cache and walks the full chain, byte-for-byte
+                    # the trace a scan packet already pays — no new segment
+                    eth, ip, l4 = table.probe_packet(next_uid)
+                    next_uid += 1
+                    variant = (pop, eth, ip, l4, False)
+                elif kind == "truncated_header":
+                    # the runt check rejects before any demux map is touched
+                    ip_outcome = _ABSENT if table.ip is not None else None
+                    variant = (pop, _ABSENT, ip_outcome, _ABSENT, False, kind)
+                elif kind == "corrupt_checksum":
+                    # eth (and ip) demux paid in full, l4 never consulted
+                    eth, ip = table.probe_pre_l4()
+                    variant = (pop, eth, ip, _ABSENT, False, kind)
+                else:  # duplicated_packet, on a bound flow
+                    # re-probed like any segment, then suppressed on the
+                    # no-progress leg; established is forced (a duplicate
+                    # is of a segment the flow already processed) and the
+                    # slot's own establishment is untouched — suppression
+                    # is not progress
+                    eth, ip, l4 = table.probe_packet(slot_uid[slot])
+                    variant = (pop, eth, ip, l4, True, kind)
+                if fault_counts is not None:
+                    fault_counts[kind] += 1
+            delta = feed(variant, segment_of)
+            if collect_services is not None:
+                seg = stream.last_seg
+                cycles = seg_cycles.get(seg)
+                if cycles is None:
+                    cycles = libraries[pop].segment(variant, schemes[pop])[1].cycles
+                    seg_cycles[seg] = cycles
+                collect_services.append(delta[STALL] + cycles)
+
+    warm = stream.phase_counters("warmup")
     steady = stream.phase_counters("steady")
     total = [w + s for w, s in zip(warm, steady)]
 
@@ -371,7 +381,7 @@ def run_traffic_point(
         return cycles
 
     steady_cpu = cpu_cycles("steady")
-    total_cpu = steady_cpu + (cpu_cycles("warmup") if spec.warmup_packets else 0)
+    total_cpu = steady_cpu + cpu_cycles("warmup")
 
     return TrafficPoint(
         spec=spec,
@@ -385,11 +395,11 @@ def run_traffic_point(
             }
             for pop in populations
         },
-        instructions=total[12],
-        stall_cycles=total[11],
+        instructions=total[INSTRUCTIONS],
+        stall_cycles=total[STALL],
         cpu_cycles=total_cpu,
-        steady_instructions=steady[12],
-        steady_stall_cycles=steady[11],
+        steady_instructions=steady[INSTRUCTIONS],
+        steady_stall_cycles=steady[STALL],
         steady_cpu_cycles=steady_cpu,
         novel_passes=stream.novel_passes,
         distinct_states=stream.distinct_states,

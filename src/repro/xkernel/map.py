@@ -202,39 +202,43 @@ class NoCache(CacheScheme):
 
 
 class OneEntryCache(CacheScheme):
-    """The paper's scheme: remember the last resolved entry."""
+    """The paper's scheme: remember the last resolved entry.
+
+    A lookup compares one slot exactly while the slot is full, so
+    ``last_probes`` is kept by ``install`` and ``clear`` and a lookup
+    never writes it.
+    """
 
     name = "one-entry"
 
     def __init__(self) -> None:
         super().__init__()
-        self._slot: Optional[Tuple[bytes, _Entry]] = None
+        self._key: Optional[bytes] = None
+        self._entry: Optional[_Entry] = None
 
     def lookup(self, key: bytes) -> Optional[_Entry]:
-        if self._slot is None:
-            self.last_probes = 0
-            return None
-        self.last_probes = 1
-        if self._slot[0] == key:
-            return self._slot[1]
-        return None
+        return self._entry if self._key == key else None
 
     def would_hit(self, key: bytes) -> bool:
-        return self._slot is not None and self._slot[0] == key
+        return self._key is not None and self._key == key
 
     def install(self, key: bytes, entry: _Entry) -> int:
-        evicted = 1 if self._slot is not None and self._slot[0] != key else 0
-        self._slot = (key, entry)
+        evicted = 1 if self._key is not None and self._key != key else 0
+        self._key = key
+        self._entry = entry
+        self.last_probes = 1
         return evicted
 
     def invalidate(self, key: bytes) -> bool:
-        if self._slot is not None and self._slot[0] == key:
-            self._slot = None
+        if self.would_hit(key):
+            self.clear()
             return True
         return False
 
     def clear(self) -> None:
-        self._slot = None
+        self._key = None
+        self._entry = None
+        self.last_probes = 0
 
 
 class LRUCache(CacheScheme):
@@ -259,10 +263,13 @@ class LRUCache(CacheScheme):
         return len(self._entries)
 
     def lookup(self, key: bytes) -> Optional[_Entry]:
-        self.last_probes = self._probe_position(key)
         entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
+        if entry is None:
+            # a miss compares every cached entry
+            self.last_probes = len(self._entries)
+            return None
+        self.last_probes = self._probe_position(key)
+        self._entries.move_to_end(key)
         return entry
 
     def would_hit(self, key: bytes) -> bool:

@@ -8,6 +8,12 @@ set of resident blocks rather than the tag array, which only works if
 every installed tag is in ``b_ever`` and a restore clears every set the
 machine's current ``b_ever`` can occupy.
 
+A token also shares the set parts of the machine's previous token
+where they cannot have changed (an ever-resident set of unchanged size,
+the resident blocks while no b-cache miss happened), and a restore
+rewrites only the resident blocks that differ from the machine's last
+token.  A reused set must never hide a pass the machine made since.
+
 These properties run on tiny geometries whose b-cache sets alias
 (8–64 sets), under every store mode, against random packed segments and
 random pass/restore sequences.
@@ -83,10 +89,11 @@ SEGMENTS = st.lists(
 )
 
 #: (action, argument): pass a segment on the producer, restore an earlier
-#: token onto it, or let the replayer wander off on its own
+#: token onto it, revisit one (restore it, pass a segment without
+#: snapshotting, restore it again), or let the replayer wander off
 STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["pass", "pass", "restore", "diverge"]),
+        st.sampled_from(["pass", "pass", "restore", "revisit", "diverge"]),
         st.integers(min_value=0, max_value=63),
     ),
     min_size=1,
@@ -129,6 +136,16 @@ def test_tokens_are_exact_under_pass_and_restore(engine, config, segments, steps
             assert _full_state(producer) == full
             assert producer.snapshot_state() == token
             continue
+        if action == "revisit":
+            # the restored token is stale after the pass: the second
+            # restore must undo the pass, not trust the sets it shares
+            token, full = seen[arg % len(seen)]
+            producer.restore_state(token)
+            producer.mem_delta(segments[arg % len(segments)])
+            producer.restore_state(token)
+            assert _full_state(producer) == full
+            assert producer.snapshot_state() == token
+            continue
         # restore the producer's token onto the replayer, whatever state
         # the replayer is in, then pass the same segment on both
         token, full = producer.snapshot_state(), _full_state(producer)
@@ -166,3 +183,27 @@ def test_restore_clears_tags_the_target_does_not_hold(engine):
     assert _full_state(big) == _full_state(small)
     assert big.mem_delta(wide) == small.mem_delta(wide)
     assert big.snapshot_state() == small.snapshot_state()
+
+
+@pytest.mark.parametrize("engine", MACHINES)
+def test_a_pass_that_changes_no_set_shares_the_previous_tokens_sets(engine):
+    # a one-block loop with a load and a store: the first pass misses
+    # everywhere, the second hits the i- and d-cache and merges its store
+    loop = _segment(
+        [
+            (0, Op.ALU, 0, False),
+            (None, Op.LOAD, 600, False),
+            (None, Op.STORE, 600, False),
+            (None, Op.ALU, 0, False),
+        ]
+    )
+    machine = MACHINES[engine](AlphaConfig())
+    machine.mem_delta(loop)
+    first = machine.snapshot_state()
+    delta = machine.mem_delta(loop)
+    assert delta[1] == delta[4] == delta[7] == 0  # no i-, d- or b-miss
+    second = machine.snapshot_state()
+    assert second == first
+    resident, i_ever, d_ever, b_ever = range(2, 6)
+    for part in (resident, i_ever, d_ever, b_ever):
+        assert second[part] is first[part]

@@ -3,9 +3,12 @@
 Eviction must be a pure memory/speed trade: a stream run under tiny
 memo caps must produce counter totals bit-identical to an uncapped run
 (the flush-on-evict accounting and the exactness cross-check hold the
-invariant), and a watchdog-degraded stream must stay exact too.
+invariant), and a watchdog-degraded stream must stay exact too.  The
+capped and degraded points are also pinned whole, so their LRU order,
+novel passes, evictions and per-segment counts cannot drift unseen.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +22,24 @@ SPEC = TrafficSpec(
     warmup_packets=400, seed=0,
 )
 TINY = SPEC.with_(memo_state_cap=4, memo_edge_cap=6)
+
+#: a mixed-stack stream whose caps evict interned states, not only
+#: edges, so the state LRU order decides which states survive
+STATE_EVICTING = SPEC.with_(stack="mixed", memo_state_cap=8, memo_edge_cap=64)
+
+#: sha256 of the canonical ``to_json()`` of the capped ``TINY`` point, of
+#: the ``watchdog_s=0.0`` point and of the state-evicting point, all under
+#: ``lru:4``
+TINY_DIGEST = "f49cf6d8dacc6d4752e605477da14111a576499c592d7df2faaf48f04274386d"
+DEGRADED_DIGEST = "66ce0c00b79ab514a68fe1b25109f54ef0f4a9a4246463b40b4c9ed1f8cf0bbb"
+STATE_EVICTING_DIGEST = (
+    "41e5ec8c1d48e021189219f0ceaf7fc6d84ffdb48781febfb900e38358548f24"
+)
+
+
+def _digest(doc: dict) -> str:
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _totals(point):
@@ -47,6 +68,17 @@ class TestMemoCaps:
         a = run_traffic_point(TINY, "lru:4").to_json()
         b = run_traffic_point(TINY, "lru:4").to_json()
         assert a == b
+
+    def test_capped_output_is_pinned(self):
+        point = run_traffic_point(TINY, "lru:4")
+        assert point.memo_evictions > 0
+        assert _digest(point.to_json()) == TINY_DIGEST
+
+    def test_state_evicting_output_is_pinned(self):
+        point = run_traffic_point(STATE_EVICTING, "lru:4")
+        # states were evicted and re-interned, beyond the 8 it may hold
+        assert point.distinct_states > 8
+        assert _digest(point.to_json()) == STATE_EVICTING_DIGEST
 
     def test_default_caps_never_evict_on_the_golden_cell(self):
         point = run_traffic_point(
@@ -79,6 +111,10 @@ class TestWatchdog:
         degraded = run_traffic_point(SPEC, "lru:4", watchdog_s=0.0)
         assert degraded.to_json()["degraded"] is True
 
+    def test_degraded_output_is_pinned(self):
+        degraded = run_traffic_point(SPEC, "lru:4", watchdog_s=0.0)
+        assert _digest(degraded.to_json()) == DEGRADED_DIGEST
+
     def test_generous_watchdog_never_trips(self):
         point = run_traffic_point(SPEC, "lru:4", watchdog_s=3600.0)
         assert not point.degraded
@@ -103,9 +139,12 @@ class TestExactnessCrossCheck:
             make_stream_machine("fast"), state_cap=2, edge_cap=2
         )
         stream.start_phase("all")
+
+        def packed(variant):
+            return lib.segment(variant, scheme)[0]
+
         for i in range(120):
-            v = variants[(i * 7) % 3]
-            stream.feed(v, lambda v=v: lib.segment(v, scheme)[0])
+            stream.feed(variants[(i * 7) % 3], packed)
         assert stream.memo_evictions > 0
         assert stream.exactness_checks > 0
 

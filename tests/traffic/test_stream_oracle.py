@@ -53,10 +53,14 @@ def _naive_totals(machine, library, scheme, sequence):
 def _streamed(machine, library, scheme, sequence, split):
     stream = TransitionStream(machine)
     stream.start_phase("warmup")
+
+    def packed(variant):
+        return library.segment(variant, scheme)[0]
+
     for i, variant in enumerate(sequence):
         if i == split:
             stream.start_phase("steady")
-        stream.feed(variant, lambda v=variant: library.segment(v, scheme)[0])
+        stream.feed(variant, packed)
     warm = stream.phase_counters("warmup")
     steady = stream.phase_counters("steady")
     return stream, [w + s for w, s in zip(warm, steady)]
