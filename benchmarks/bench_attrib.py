@@ -15,7 +15,10 @@ Produces ``BENCH_attrib.json`` (repo root) with:
 * ``overhead`` — wall-clock seconds for three fast-engine passes of one
   trace with no sink attached vs. the same passes with attribution (the
   kernel logging its decisions and the sink classifying them); without a
-  sink nothing is logged and the kernel's hit paths are unchanged.
+  sink nothing is logged and the kernel's hit paths are unchanged;
+* ``gate`` — the :data:`GATE` rules ``check_perf_trend.py`` reads: the
+  cells and the invariant must match the committed file exactly, while
+  the overhead timings may move.
 
 Usage::
 
@@ -45,6 +48,12 @@ from repro.harness.profile import profile_cell  # noqa: E402
 from repro.obs import Attribution  # noqa: E402
 
 SWEEP = (("tcpip", CONFIG_NAMES), ("rpc", CONFIG_NAMES))
+
+#: the perf-ledger gate rules (``benchmarks/check_perf_trend.py``)
+GATE = [
+    {"path": "cells", "better": "exact"},
+    {"path": "invariant", "better": "exact"},
+]
 
 
 def profile_all_cells(engine: str) -> list:
@@ -161,6 +170,7 @@ def main(argv=None) -> int:
             "holds": True,  # AttributionMismatch would have aborted the run
         },
         "overhead": overhead,
+        "gate": GATE,
     }
     pathlib.Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     print(f"\n{len(cells)} cells attributed -> {args.output}")

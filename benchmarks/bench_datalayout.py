@@ -10,12 +10,13 @@ static steady-state bounds under the same store behaviour.
 
 The ``grid`` section deliberately omits the engine that produced it: the
 engines are bit-identical, so one committed grid serves every engine and
-CI diffs a fresh run against it — any divergence between engines or
-against the baseline is a drift failure, not a tolerance judgement.  The
-perf-trend gate additionally requires that at least one data technique
-pulls the steady write-buffer bucket below the baseline floor on at
-least 6 of the 12 cells — the floor the code-side techniques of Section
-2 never move.
+the perf-ledger gate requires a fresh run to match it — any divergence
+between engines or against the baseline is a drift failure, not a
+tolerance judgement.  Beside the grid, ``best_cells_below_floor`` records
+on how many of the 12 cells the best data technique pulls the steady
+write-buffer bucket below the baseline floor — the floor the code-side
+techniques of Section 2 never move; the gate requires at least 6.
+``gate`` holds the :data:`GATE` rules ``check_perf_trend.py`` reads.
 
 Usage::
 
@@ -34,6 +35,15 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.datalayout import run_datalayout_study  # noqa: E402
+
+#: the perf-ledger gate rules (``benchmarks/check_perf_trend.py``)
+GATE = [
+    {"path": "grid", "better": "exact"},
+    {"path": "grid.wb_floor"},
+    {"path": "grid.cells_below_floor"},
+    {"path": "grid.cells"},
+    {"path": "best_cells_below_floor", "better": "higher", "floor": 6},
+]
 
 
 def main(argv=None) -> int:
@@ -62,7 +72,12 @@ def main(argv=None) -> int:
     # the engine is provenance, not data: the grid must match bit for bit
     # across engines, so it lives outside the compared section
     del grid["engine"]
-    result = {"engine": args.engine, "grid": grid}
+    result = {
+        "engine": args.engine,
+        "grid": grid,
+        "best_cells_below_floor": max(grid["cells_below_floor"].values()),
+        "gate": GATE,
+    }
     pathlib.Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
 
     print(study.render())

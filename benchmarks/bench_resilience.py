@@ -8,7 +8,7 @@ numbers:
   that is *identical* in smoke and full runs: per-kind fault counts and
   the offered-load vs p50/p99/p999 sojourn curve of one faulted
   (scheme, mix) point.  Every number is an exact integer, so the
-  perf-trend gate requires bit-for-bit equality with the committed
+  perf-ledger gate requires bit-for-bit equality with the committed
   baseline: any drift means the fault arrivals, error-path pricing or
   queue semantics changed, not the machine speed.
 * ``streaming`` — end-to-end packet throughput of a *faulted* stream on
@@ -23,6 +23,7 @@ numbers:
   swept over the offered-load schedule, with the detected saturation
   point (null would fail the gate: the latency harness must find the
   knee at acceptance scale).
+* ``gate`` — the :data:`GATE` rules ``check_perf_trend.py`` reads.
 
 Usage::
 
@@ -51,7 +52,7 @@ from repro.resilience import (  # noqa: E402
 from repro.traffic import TrafficSpec, run_traffic_point  # noqa: E402
 
 #: the deterministic latency cell: identical in --smoke and full runs,
-#: so the perf-trend gate can require exact equality with the baseline
+#: so the perf-ledger gate can require exact equality with the baseline
 LATENCY_SPEC = TrafficSpec(
     stack="tcpip",
     config="OUT",
@@ -70,6 +71,23 @@ LATENCY_OVERLOAD = OverloadSpec(loads=(80, 100, 120), queue_capacity=64)
 FULL_STREAM = {"packets": 1_000_000, "flows": 10_000}
 SMOKE_STREAM = {"packets": 100_000, "flows": 10_000}
 STREAM_FAULT_RATE = 0.01
+
+#: the perf-ledger gate rules (``benchmarks/check_perf_trend.py``)
+GATE = [
+    {"path": "streaming.fast_packets_per_sec"},
+    {"path": "streaming.pristine_fast_packets_per_sec"},
+    # faulted variants stay memoizable: pricing error paths keeps at
+    # least half the recorded faulted-vs-pristine throughput ratio
+    {
+        "path": "streaming.resilience_throughput_vs_traffic",
+        "better": "higher",
+        "bound": 0.5,
+    },
+    {"path": "latency", "better": "exact"},
+    {"path": "latency.loads"},
+    # the acceptance proof: the full run found the saturation knee
+    {"path": "saturation.saturation_point"},
+]
 
 
 def bench_latency() -> dict:
@@ -188,6 +206,7 @@ def main(argv=None) -> int:
         "latency": latency,
         "streaming": streaming,
         "saturation": saturation,
+        "gate": GATE,
     }
     pathlib.Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     print(

@@ -19,13 +19,19 @@ Produces ``BENCH_simspeed.json`` (repo root) with machine-readable timings:
   - ``fast_seconds``: the current tree's fast engine (caches cleared
     between trials), best of ``--trials``.
 
+* ``smoke_end_to_end`` — the same sweep at smoke size (2/1 samples),
+  which the perf-ledger gate compares: a reduced sweep amortizes the
+  result caches less than the full one, so it needs its own ratio;
+* ``gate`` — the :data:`GATE` rules ``check_perf_trend.py`` reads.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_simspeed.py [--smoke] [--trials N]
 
-``--smoke`` runs a reduced sweep (2/1 samples) so CI can exercise the
-whole path in a few seconds; the seed-commit baseline is still measured
-(at smoke size) unless ``--no-seed`` skips it.
+``--smoke`` runs only the smoke-sized sweep, written under
+``smoke_end_to_end``, so CI can exercise the whole path in a few seconds;
+the seed-commit baseline is still measured (at smoke size) unless
+``--no-seed`` skips it.
 """
 
 from __future__ import annotations
@@ -59,6 +65,21 @@ from repro.harness.experiment import (  # noqa: E402
 #: the canonical Table-4 sweep the paper reports (per stack: samples)
 FULL_SWEEP = (("tcpip", 10), ("rpc", 5))
 SMOKE_SWEEP = (("tcpip", 2), ("rpc", 1))
+
+#: the perf-ledger gate rules (``benchmarks/check_perf_trend.py``)
+GATE = [
+    {"path": "kernel.fast_entries_per_sec"},
+    {"path": "end_to_end.fast_seconds"},
+    {"path": "end_to_end.reference_seconds"},
+    # a run without git history records null here, and the gate refuses it
+    {"path": "end_to_end.seed_seconds"},
+    {"path": "end_to_end.speedup_vs_reference"},
+    {"path": "end_to_end.speedup_vs_seed"},
+    # losing more than a fifth of the same-host lead over the reference
+    # engine means the fast path lost a structural optimisation
+    {"path": "smoke_end_to_end.speedup_vs_reference", "better": "higher",
+     "bound": 0.2},
+]
 
 
 def _reset_caches() -> None:
@@ -224,10 +245,9 @@ def main(argv=None) -> int:
 
     smoke_baseline = None
     if not args.smoke:
-        # Also record the smoke-sized ratio: the CI perf-trend gate runs
-        # --smoke (the full sweep is too slow for every PR) and a reduced
-        # sweep amortizes the caches less, so it needs its own baseline.
-        print("smoke-sized sweep (perf-trend gate baseline) ...", flush=True)
+        # Also record the smoke-sized ratio the gate compares: CI runs
+        # --smoke (the full sweep is too slow for every PR).
+        print("smoke-sized sweep (perf-ledger gate baseline) ...", flush=True)
         smoke_fast_s = bench_fast(SMOKE_SWEEP, max(args.trials, 3))
         smoke_reference_s = bench_reference(SMOKE_SWEEP,
                                             trials=max(args.trials, 3))
@@ -242,10 +262,11 @@ def main(argv=None) -> int:
               f"({smoke_baseline['speedup_vs_reference']}x)")
 
     baseline = seed_s if seed_s is not None else reference_s
+    section = "smoke_end_to_end" if args.smoke else "end_to_end"
     result = {
         "smoke": args.smoke,
         "kernel": kernel,
-        "end_to_end": {
+        section: {
             "sweep": [{"stack": s, "samples": n} for s, n in sweep],
             "fast_seconds": round(fast_s, 3),
             "reference_seconds": round(reference_s, 3),
@@ -258,8 +279,9 @@ def main(argv=None) -> int:
     }
     if smoke_baseline is not None:
         result["smoke_end_to_end"] = smoke_baseline
+    result["gate"] = GATE
     pathlib.Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\nspeedup: {result['end_to_end']['speedup']}x, fast kernel "
+    print(f"\nspeedup: {result[section]['speedup']}x, fast kernel "
           f"{kernel['kernel_speedup']}x reference -> {args.output}")
     return 0
 

@@ -9,13 +9,14 @@ Produces ``BENCH_traffic.json`` (repo root) with machine-readable numbers:
   flow population) on the fast engine, plus the *naive* baseline: the same
   fast kernel re-simulating the dominant demux segment per packet with no
   transition memo.  Their ratio, ``streaming_speedup_vs_naive``, is the
-  structural win the perf-trend gate enforces — it is what lets a
+  structural win the perf-ledger gate enforces — it is what lets a
   cycle-exact model stream millions of packets.
 * ``hit_rates`` — the l4 flow-map hit rate per caching scheme on a fixed
   deterministic cell that is *identical* in smoke and full runs.  These
   are exact rational numbers, so the gate requires bit-for-bit equality
   with the committed baseline: any drift means the map/cache semantics
   changed, not the machine speed.
+* ``gate`` — the :data:`GATE` rules ``check_perf_trend.py`` reads.
 
 Usage::
 
@@ -42,7 +43,7 @@ from repro.traffic.segments import SegmentLibrary  # noqa: E402
 from repro.xkernel.map import SCHEME_SPECS, make_scheme  # noqa: E402
 
 #: the deterministic hit-rate cell: identical in --smoke and full runs,
-#: so the perf-trend gate can require exact equality with the baseline
+#: so the perf-ledger gate can require exact equality with the baseline
 HIT_RATE_SPEC = TrafficSpec(
     stack="tcpip",
     config="OUT",
@@ -60,6 +61,22 @@ SMOKE_STREAM = {"packets": 100_000, "flows": 10_000}
 
 #: per-packet passes timed for the naive (memo-free) baseline
 NAIVE_PASSES = 2_000
+
+#: the perf-ledger gate rules (``benchmarks/check_perf_trend.py``)
+GATE = [
+    {"path": "streaming.fast_packets_per_sec"},
+    {"path": "streaming.naive_fast_packets_per_sec"},
+    # the transition memo keeps at least half its recorded lead over
+    # naive per-packet simulation, and never less than 10x
+    {
+        "path": "streaming.streaming_speedup_vs_naive",
+        "better": "higher",
+        "bound": 0.5,
+        "floor": 10,
+    },
+    {"path": "hit_rates", "better": "exact"},
+    *({"path": f"hit_rates.schemes.{make_scheme(s).name}"} for s in SCHEME_SPECS),
+]
 
 
 def bench_streaming(packets: int, flows: int, trials: int) -> dict:
@@ -156,7 +173,12 @@ def main(argv=None) -> int:
     for name, rate in hit_rates["schemes"].items():
         print(f"  {name:<12} {rate:.4f}")
 
-    result = {"smoke": args.smoke, "streaming": streaming, "hit_rates": hit_rates}
+    result = {
+        "smoke": args.smoke,
+        "streaming": streaming,
+        "hit_rates": hit_rates,
+        "gate": GATE,
+    }
     pathlib.Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     print(
         f"\nstreaming {streaming['streaming_speedup_vs_naive']}x naive "

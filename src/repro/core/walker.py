@@ -118,6 +118,17 @@ def clone_events(events: Iterable[Event]) -> List[Event]:
     return out
 
 
+def forced_cond(fn: str, cond: str) -> str:
+    """The cond key that forces ``fn``'s branch condition ``cond``.
+
+    The walker reads a bare key only in a frame named like the branch
+    block's origin, but clone frames (``"<fn>@clone"``) and path-inlined
+    frames (``"tcpip_input_path"``) carry other names, so a bare override
+    would be ignored there and the walk would follow the branch's assumed
+    leg.  The ``"<fn>.<cond>"`` form is read in every frame."""
+    return f"{fn}.{cond}"
+
+
 class _CondStore:
     """Interprets raw condition values with per-activation semantics.
 
@@ -479,7 +490,7 @@ class Walker:
                     break
             if serial is None:
                 serial = frames[-1].serial if frames else 0
-            prefixed = f"{origin}.{cond}"
+            prefixed = f"{origin}.{cond}"  # forced_cond(origin, cond)
             for frame in reversed(frames):
                 value = frame.conds.try_query(prefixed, serial)
                 if value is not _MISSING:

@@ -52,6 +52,7 @@ from repro.core.walker import (
     MarkEvent,
     WalkResult,
     clone_events,
+    forced_cond,
 )
 
 #: the fault taxonomy; every fault point declares one of these kinds
@@ -241,13 +242,7 @@ class FaultPlan:
                     )
                     continue
                 for key, value in point.overrides:
-                    # the prefixed form is resolved first by every walker
-                    # frame — crucially including cloned functions, whose
-                    # frames are named "<fn>@clone" while their blocks
-                    # keep the authoring origin, so a bare key would be
-                    # ignored there and the walk would silently follow
-                    # the branch's assumed direction instead
-                    ev.conds[f"{point.fn}.{key}"] = value
+                    ev.conds[forced_cond(point.fn, key)] = value
                 pruned = 0
                 if point.prune and exit_idx > i + 1:
                     prunes.append((i + 1, exit_idx - 1))
@@ -309,9 +304,7 @@ class FaultPlan:
                 continue
             if ev.fn in overrides:
                 for key, value in overrides[ev.fn]:
-                    # prefixed for the same clone-resolution reason as in
-                    # ``apply``
-                    ev.conds[f"{ev.fn}.{key}"] = value
+                    ev.conds[forced_cond(ev.fn, key)] = value
             if ev.fn in prune_set:
                 for j in range(i + 1, exits[i]):
                     drop[j] = True

@@ -27,7 +27,13 @@ from repro.arch.cpu import CpuStats
 from repro.arch.fastsim import cpu_pass
 from repro.arch.packed import PackedTrace
 from repro.core.fastwalk import FastWalker
-from repro.core.walker import EnterEvent, Event, ExitEvent, clone_events
+from repro.core.walker import (
+    EnterEvent,
+    Event,
+    ExitEvent,
+    clone_events,
+    forced_cond,
+)
 from repro.harness.experiment import Experiment
 from repro.traffic.flowtable import LayerOutcome
 from repro.xkernel.map import CacheScheme, OneEntryCache
@@ -37,6 +43,11 @@ LAYER_FNS = {
     "tcpip": {"eth": "eth_demux", "ip": "ip_demux", "l4": "tcp_demux"},
     "rpc": {"eth": "eth_demux", "l4": "chan_demux"},
 }
+
+#: the general map routine's conds, forced on whichever layer calls it
+_RESOLVE_HIT = forced_cond("map_resolve", "cache_hit")
+_RESOLVE_KEY_WORDS = forced_cond("map_resolve", "key_words")
+_RESOLVE_CHAIN = forced_cond("map_resolve", "chain")
 
 #: a packet's full classification: population ("tcp"/"rpc"), per-layer
 #: outcomes, and whether the l4 flow is in its established state.  A
@@ -173,7 +184,7 @@ class SegmentLibrary:
         self._fault_anchors = self._locate_fault_anchors()
         #: captured key-compare loop trips per layer (words per key)
         self.key_words: Dict[str, int] = {
-            layer: self._span[idx].conds["map_resolve.key_words"]
+            layer: self._span[idx].conds[_RESOLVE_KEY_WORDS]
             for layer, idx in self._layer_events.items()
         }
         # bounded: one entry per (scheme, variant) of the small alphabet
@@ -218,19 +229,21 @@ class SegmentLibrary:
         ev: EnterEvent, scheme: CacheScheme, outcome: LayerOutcome, key_words: int
     ) -> None:
         hit, probes, chain = outcome
+        conds = ev.conds
+        inline_hit = forced_cond(ev.fn, "map_cache_hit")
         if isinstance(scheme, OneEntryCache):
             # the paper's inlined single-compare probe
-            ev.conds["map_cache_hit"] = hit
+            conds[inline_hit] = hit
             if not hit:
-                ev.conds["map_resolve.cache_hit"] = False
-                ev.conds["map_resolve.key_words"] = key_words
-                ev.conds["map_resolve.chain"] = chain
+                conds[_RESOLVE_HIT] = False
+                conds[_RESOLVE_KEY_WORDS] = key_words
+                conds[_RESOLVE_CHAIN] = chain
         else:
             # any other front end lives in the general routine
-            ev.conds["map_cache_hit"] = False
-            ev.conds["map_resolve.cache_hit"] = hit
-            ev.conds["map_resolve.key_words"] = scheme.probe_trips(probes, key_words)
-            ev.conds["map_resolve.chain"] = chain
+            conds[inline_hit] = False
+            conds[_RESOLVE_HIT] = hit
+            conds[_RESOLVE_KEY_WORDS] = scheme.probe_trips(probes, key_words)
+            conds[_RESOLVE_CHAIN] = chain
 
     def segment(
         self, variant: Variant, scheme: CacheScheme
@@ -264,8 +277,8 @@ class SegmentLibrary:
             anchor, overrides, prune = recipes[fault]
             idx = self._fault_anchors[anchor]
             anchor_ev = span[idx]
-            for cond_key, value in overrides:
-                anchor_ev.conds[cond_key] = value
+            for cond, value in overrides:
+                anchor_ev.conds[forced_cond(anchor_ev.fn, cond)] = value
             if prune:
                 span = _prune_subtree(span, idx)
                 alive_before = idx + 1
@@ -280,7 +293,7 @@ class SegmentLibrary:
             l4_ev = span[l4_idx]
             self._apply_outcome(l4_ev, scheme, l4, self.key_words["l4"])
             if "established" in l4_ev.conds:
-                l4_ev.conds["established"] = established
+                l4_ev.conds[forced_cond(l4_ev.fn, "established")] = established
         walk = FastWalker(self._build.program, self._data_env).walk(span)
         packed = walk.packed.shifted(self.image_offset)
         entry = (packed, cpu_pass(packed))

@@ -4,6 +4,7 @@ streams stay transition-memoizable."""
 
 import pytest
 
+from repro.harness.configs import CONFIG_NAMES
 from repro.traffic.segments import (
     FAULT_RECIPES,
     SEGMENT_FAULT_KINDS,
@@ -17,16 +18,33 @@ HIT = {
     "rpc": ("rpc", (True, 1, 0), (True, 1, 0), (True, 1, 0), True),
 }
 
+#: every (stack, config) cell; OUT, the streaming studies' default cell,
+#: keeps the bare stack id
+CELLS = [(stack, config) for stack in ("tcpip", "rpc") for config in CONFIG_NAMES]
 
-@pytest.fixture(scope="module", params=["tcpip", "rpc"])
-def stack(request):
+
+@pytest.fixture(
+    scope="module",
+    params=CELLS,
+    ids=[stack if config == "OUT" else f"{stack}-{config}" for stack, config in CELLS],
+)
+def cell(request):
     return request.param
 
 
 @pytest.fixture(scope="module")
-def library(stack):
+def stack(cell):
+    return cell[0]
+
+
+@pytest.fixture(scope="module")
+def library(cell):
+    # cloned (BAD, CLO, ALL) and path-inlined (PIN, ALL) builds walk the
+    # demux layers in frames not named like the events, so every forced
+    # cond must reach them too
+    stack, config = cell
     pop = "tcp" if stack == "tcpip" else "rpc"
-    return SegmentLibrary(stack, "OUT", population=pop)
+    return SegmentLibrary(stack, config, population=pop)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +96,13 @@ class TestFaultVariants:
         )
         # a duplicate is recognized only after demux: it pays the walk
         assert dup.instructions > truncated.instructions
+
+    def test_l4_miss_walks_the_general_routine(self, stack, library, scheme):
+        miss = HIT[stack][:3] + ((False, 1, 0), True)
+        hit_packed, _ = library.segment(HIT[stack], scheme)
+        miss_packed, _ = library.segment(miss, scheme)
+        # a one-entry miss falls through to map_resolve on every build
+        assert len(miss_packed) > len(hit_packed)
 
     def test_variants_are_memoized(self, stack, library, scheme):
         variant = HIT[stack] + ("corrupt_checksum",)

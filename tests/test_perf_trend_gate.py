@@ -1,18 +1,13 @@
-"""The perf-trend gate's baseline-auditing semantics.
+"""The perf-ledger gate: ``check_perf_trend.py COMMITTED FRESH``.
 
-Pins the distinction the gate script draws between two baseline states:
-
-* a gated *section missing entirely* — the baseline predates the gate —
-  is announced and skipped (exit 0), so new sections can be introduced
-  without invalidating every historical baseline;
-* a section *present but carrying nulls* in enforced fields — the
-  baseline run attempted the measurement and lost data — stays a hard
-  failure (exit 1).
-
-Plus the datalayout gate: bit-for-bit grid identity and the
-cells-below-floor acceptance.
+Every committed ``BENCH_*.json`` carries its own rules in a ``gate``
+list.  The gate refuses a committed ledger whose gated value is absent,
+null or empty (exit 1, ``BASELINE INVALID``), fails a fresh run that
+drifts from an ``exact`` value or falls under a ``higher`` rule's bound
+or floor (exit 1), and passes otherwise.
 """
 
+import copy
 import importlib.util
 import json
 import pathlib
@@ -21,15 +16,58 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "benchmarks" / "check_perf_trend.py"
+LEDGERS = ("simspeed", "traffic", "resilience", "datalayout", "attrib")
 
 spec = importlib.util.spec_from_file_location("check_perf_trend", SCRIPT)
 gate = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(gate)
 
 
+def committed_ledger(name):
+    return json.loads((REPO / f"BENCH_{name}.json").read_text())
+
+
+def rules_of(name):
+    return committed_ledger(name)["gate"]
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def check(tmp_path, committed, fresh):
+    """The gate's exit status on one (committed, fresh) pair."""
+    return gate.main(
+        [
+            write_json(tmp_path / "committed.json", committed),
+            write_json(tmp_path / "fresh.json", fresh),
+        ]
+    )
+
+
+def set_path(ledger, path, value):
+    *parents, leaf = path.split(".")
+    for key in parents:
+        ledger = ledger[key]
+    ledger[leaf] = value
+
+
+def bumped(value):
+    """``value`` with its first numeric leaf moved by one."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if isinstance(item, (int, float, dict, list)):
+                return {**value, key: bumped(item)}
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            if isinstance(item, (int, float, dict, list)):
+                return value[:i] + [bumped(item)] + value[i + 1 :]
+    raise AssertionError(f"no numeric leaf in {value!r}")
 
 
 def grid_payload():
@@ -50,142 +88,178 @@ def grid_payload():
     }
 
 
+def grid_ledger(grid):
+    return {
+        "grid": grid,
+        "best_cells_below_floor": max(grid["cells_below_floor"].values()),
+        "gate": rules_of("datalayout"),
+    }
+
+
 class TestMissingFields:
-    def test_absent_section_returns_none(self):
-        assert gate.missing_fields({}, "kernel", ("a",)) is None
+    """A rule's committed value must be present, not null, not empty."""
 
-    def test_present_section_reports_nulls(self):
-        baseline = {"kernel": {"a": 1.0, "b": None}}
-        assert gate.missing_fields(baseline, "kernel", ("a", "b", "c")) == [
-            "kernel.b",
-            "kernel.c",
-        ]
+    RULES = [{"path": "kernel.a"}, {"path": "kernel.b"}, {"path": "kernel.c"}]
 
-    def test_null_section_body_reports_everything(self):
-        assert gate.missing_fields({"kernel": None}, "kernel", ("a",)) == [
-            "kernel.a"
-        ]
+    def test_absent_section_returns_none(self, tmp_path, capsys):
+        assert gate.lookup({}, "kernel.a") is None
+        assert check(tmp_path, {"gate": self.RULES[:1]}, {}) == 1
+        assert "kernel.a: no committed value" in capsys.readouterr().err
+
+    def test_present_section_reports_nulls(self, tmp_path, capsys):
+        committed = {"kernel": {"a": 1.0, "b": None}, "gate": self.RULES}
+        assert check(tmp_path, committed, committed) == 1
+        err = capsys.readouterr().err
+        assert "kernel.b: no committed value" in err
+        assert "kernel.c: no committed value" in err
+        assert "kernel.a" not in err
+
+    def test_null_section_body_reports_everything(self, tmp_path, capsys):
+        committed = {"kernel": None, "gate": self.RULES[:1]}
+        assert check(tmp_path, committed, {}) == 1
+        assert "kernel.a: no committed value" in capsys.readouterr().err
 
 
 class TestSectionAbsentVsNull:
-    """main() through the CLI: skip on absence, fail on nulls."""
+    """An absent section and a null field are both invalid baselines."""
 
-    def test_absent_streaming_section_skips_and_passes(self, tmp_path, capsys):
-        baseline = write_json(
-            tmp_path / "baseline.json",
-            {"hit_rates": {"spec": "cell", "schemes": {"lru": 0.5}}},
-        )
-        smoke = write_json(
-            tmp_path / "smoke.json",
-            {"hit_rates": {"spec": "cell", "schemes": {"lru": 0.5}}},
-        )
-        rc = gate.main(["--traffic", smoke, "--traffic-baseline", baseline])
-        assert rc == 0
-        assert "SECTION ABSENT" in capsys.readouterr().out
+    def test_absent_streaming_section_is_invalid(self, tmp_path, capsys):
+        cell = {"hit_rates": {"spec": "cell", "schemes": {"lru": 0.5}}}
+        committed = {**cell, "gate": rules_of("traffic")}
+        assert check(tmp_path, committed, cell) == 1
+        err = capsys.readouterr().err
+        assert "BASELINE INVALID" in err
+        assert "streaming.streaming_speedup_vs_naive: no committed value" in err
 
     def test_null_enforced_field_fails(self, tmp_path, capsys):
-        streaming = {name: 1.0 for name in gate.REQUIRED_TRAFFIC_STREAMING}
-        streaming["streaming_speedup_vs_naive"] = None
-        baseline = write_json(
-            tmp_path / "baseline.json", {"streaming": streaming}
-        )
-        smoke = write_json(tmp_path / "smoke.json", {})
-        rc = gate.main(["--traffic", smoke, "--traffic-baseline", baseline])
-        assert rc == 1
+        committed = committed_ledger("traffic")
+        committed["streaming"]["streaming_speedup_vs_naive"] = None
+        assert check(tmp_path, committed, {}) == 1
         assert "BASELINE INVALID" in capsys.readouterr().err
 
-    def test_end_to_end_absent_section_skips(self, tmp_path, capsys):
-        baseline = write_json(tmp_path / "baseline.json", {})
-        smoke = write_json(
-            tmp_path / "smoke.json",
-            {"end_to_end": {"speedup_vs_reference": 100.0}},
-        )
-        rc = gate.main([smoke, "--baseline", baseline])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "SECTION ABSENT" in out
-        assert "perf trend OK" in out
+    def test_end_to_end_absent_section_is_invalid(self, tmp_path, capsys):
+        fresh = {"smoke_end_to_end": {"speedup_vs_reference": 100.0}}
+        assert check(tmp_path, {"gate": rules_of("simspeed")}, fresh) == 1
+        err = capsys.readouterr().err
+        assert "BASELINE INVALID" in err
+        assert "end_to_end.fast_seconds: no committed value" in err
 
 
 class TestDatalayoutGate:
     def test_identical_grid_passes(self, tmp_path, capsys):
-        grid = grid_payload()
-        baseline = write_json(tmp_path / "baseline.json", {"grid": grid})
-        fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "fast", "grid": grid}
-        )
-        rc = gate.main(
-            ["--datalayout", fresh, "--datalayout-baseline", baseline]
-        )
-        assert rc == 0
-        assert "grid identical" in capsys.readouterr().out
+        committed = grid_ledger(grid_payload())
+        assert check(tmp_path, committed, {"engine": "fast", **committed}) == 0
+        assert "perf ledger OK" in capsys.readouterr().out
 
     def test_grid_drift_fails(self, tmp_path, capsys):
-        baseline = write_json(
-            tmp_path / "baseline.json", {"grid": grid_payload()}
-        )
         drifted = grid_payload()
         drifted["cells"][0]["steady_stalls"] += 1
-        fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "fast", "grid": drifted}
-        )
-        rc = gate.main(
-            ["--datalayout", fresh, "--datalayout-baseline", baseline]
-        )
-        assert rc == 1
-        assert "DATALAYOUT DRIFT" in capsys.readouterr().err
+        fresh = {"engine": "fast", **grid_ledger(drifted)}
+        assert check(tmp_path, grid_ledger(grid_payload()), fresh) == 1
+        assert "grid.cells[0].steady_stalls: 594 -> 595" in capsys.readouterr().err
 
     def test_floor_failure_fails_even_with_identity(self, tmp_path, capsys):
         grid = grid_payload()
         grid["cells_below_floor"] = {"coalesce": 5, "stream": 2}
-        baseline = write_json(tmp_path / "baseline.json", {"grid": grid})
-        fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "fast", "grid": grid}
-        )
-        rc = gate.main(
-            ["--datalayout", fresh, "--datalayout-baseline", baseline]
-        )
-        assert rc == 1
-        assert "DATALAYOUT FLOOR" in capsys.readouterr().err
+        committed = grid_ledger(grid)
+        assert check(tmp_path, committed, {"engine": "fast", **committed}) == 1
+        err = capsys.readouterr().err
+        assert "FAIL best_cells_below_floor: higher, 5 < 6" in err
+        assert "FAIL grid:" not in err
 
-    def test_absent_grid_section_skips(self, tmp_path, capsys):
-        baseline = write_json(tmp_path / "baseline.json", {})
-        fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "fast", "grid": grid_payload()}
-        )
-        rc = gate.main(
-            ["--datalayout", fresh, "--datalayout-baseline", baseline]
-        )
-        assert rc == 0
-        assert "SECTION ABSENT" in capsys.readouterr().out
+    def test_absent_grid_section_is_invalid(self, tmp_path, capsys):
+        fresh = {"engine": "fast", **grid_ledger(grid_payload())}
+        assert check(tmp_path, {"gate": rules_of("datalayout")}, fresh) == 1
+        assert "grid: no committed value" in capsys.readouterr().err
 
     def test_empty_grid_fields_are_invalid_not_skipped(self, tmp_path, capsys):
-        baseline = write_json(
-            tmp_path / "baseline.json",
-            {"grid": {"wb_floor": {}, "cells_below_floor": {}, "cells": []}},
-        )
-        fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "fast", "grid": grid_payload()}
-        )
-        rc = gate.main(
-            ["--datalayout", fresh, "--datalayout-baseline", baseline]
-        )
-        assert rc == 1
+        committed = {
+            "grid": {"wb_floor": {}, "cells_below_floor": {}, "cells": []},
+            "best_cells_below_floor": 12,
+            "gate": rules_of("datalayout"),
+        }
+        fresh = {"engine": "fast", **grid_ledger(grid_payload())}
+        assert check(tmp_path, committed, fresh) == 1
+        err = capsys.readouterr().err
+        assert "BASELINE INVALID" in err
+        for name in ("wb_floor", "cells_below_floor", "cells"):
+            assert f"grid.{name}: no committed value" in err
+
+
+class TestRules:
+    def test_ratio_at_its_bound_passes_and_below_fails(self, tmp_path):
+        rule = {"path": "r", "better": "higher", "bound": 0.5, "floor": 10}
+        committed = {"r": 75.5, "gate": [rule]}
+        # max(10, 0.5 x 75.5): the recorded lead, halved, binds
+        assert check(tmp_path, committed, {"r": 37.75}) == 0
+        assert check(tmp_path, committed, {"r": 37.7}) == 1
+        # the absolute floor binds once half the recorded lead is below it
+        committed["r"] = 12.0
+        assert check(tmp_path, committed, {"r": 10}) == 0
+        assert check(tmp_path, committed, {"r": 9.9}) == 1
+
+    def test_fresh_run_without_the_value_fails(self, tmp_path, capsys):
+        rule = {"path": "r", "better": "higher", "bound": 0.2}
+        committed = {"r": 3.5, "gate": [rule]}
+        assert check(tmp_path, committed, {}) == 1
+        assert "the fresh run records no value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            [],
+            [{"better": "exact"}],
+            [{"path": "r", "better": "lower", "bound": 0.2}],
+            [{"path": "r", "better": "higher"}],
+            [{"path": "spec", "better": "higher", "bound": 0.2}],
+        ],
+        ids=["empty", "no-path", "unknown-kind", "unbounded", "non-number"],
+    )
+    def test_malformed_rules_are_invalid(self, tmp_path, capsys, rules):
+        committed = {"r": 1.0, "spec": {"seed": 0}, "gate": rules}
+        assert check(tmp_path, committed, committed) == 1
         assert "BASELINE INVALID" in capsys.readouterr().err
 
-    def test_committed_baseline_is_valid_and_meets_the_floor(self):
-        baseline = json.loads(
-            (REPO / "BENCH_datalayout.json").read_text()
-        )
-        grid = baseline["grid"]
-        assert max(grid["cells_below_floor"].values()) >= (
-            gate.DATALAYOUT_CELL_FLOOR
-        )
-        assert len(grid["cells"]) == 72  # 6 techniques x 12 cells
+
+class TestCommittedLedgers:
+    @pytest.mark.parametrize("name", LEDGERS)
+    def test_holds_against_itself_and_fails_each_mutation(self, tmp_path, name):
+        committed = committed_ledger(name)
+        assert check(tmp_path, committed, committed) == 0
+        for rule in committed["gate"]:
+            path, better = rule["path"], rule.get("better")
+            if better == "exact":
+                fresh = copy.deepcopy(committed)
+                set_path(fresh, path, bumped(gate.lookup(committed, path)))
+                assert check(tmp_path, committed, fresh) == 1, path
+            if better == "higher":
+                limit = gate.limit(rule, gate.lookup(committed, path))
+                for delta, status in ((-1e-6, 1), (1e-6, 0)):
+                    fresh = copy.deepcopy(committed)
+                    set_path(fresh, path, limit + delta)
+                    assert check(tmp_path, committed, fresh) == status, path
+            nulled = copy.deepcopy(committed)
+            set_path(nulled, path, None)
+            assert check(tmp_path, nulled, committed) == 1, path
+
+    @pytest.mark.parametrize("name", LEDGERS)
+    def test_gate_matches_the_bench_script(self, name):
+        script = REPO / "benchmarks" / f"bench_{name}.py"
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", script)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert rules_of(name) == bench.GATE
+
+    def test_datalayout_floor_is_the_best_technique(self):
+        ledger = committed_ledger("datalayout")
+        best = max(ledger["grid"]["cells_below_floor"].values())
+        assert ledger["best_cells_below_floor"] == best >= 6
+        assert len(ledger["grid"]["cells"]) == 72  # 6 techniques x 12 cells
 
 
 class TestNothingToCheck:
     def test_no_inputs_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            gate.main([])
-        assert exc.value.code == 2
+        for argv in ([], ["BENCH_traffic.json"]):
+            with pytest.raises(SystemExit) as exc:
+                gate.main(argv)
+            assert exc.value.code == 2
