@@ -16,8 +16,10 @@ Produces ``BENCH_simspeed.json`` (repo root) with machine-readable timings:
   - ``reference_seconds``: the current tree with ``engine="reference"``
     and capture memoization disabled, i.e. the seed *algorithm* running
     on today's shared infrastructure;
-  - ``fast_seconds``: the current tree's fast engine (caches cleared
-    between trials), best of ``--trials``.
+  - ``fast_seconds``: the current tree's fast engine;
+
+  both sides clear the caches between trials and report the best of
+  ``--trials``, so their ratio compares like with like.
 
 * ``smoke_end_to_end`` — the same sweep at smoke size (2/1 samples),
   which the perf-ledger gate compares: a reduced sweep amortizes the
@@ -131,7 +133,7 @@ def bench_fast(sweep, trials: int) -> float:
     return best
 
 
-def bench_reference(sweep, trials: int = 1) -> float:
+def bench_reference(sweep, trials: int) -> float:
     """The seed algorithm on today's tree: reference engine, no memoization."""
     best_s = float("inf")
     for _ in range(trials):
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
         return value
 
     parser.add_argument("--trials", type=positive_int, default=3,
-                        help="fast-path trials (best is reported)")
+                        help="trials per engine (the best is reported)")
     parser.add_argument("--output", default=str(REPO / "BENCH_simspeed.json"))
     args = parser.parse_args(argv)
 
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
     print(f"  fast: {fast_s:.3f}s")
 
     print("end-to-end sweep, reference engine (seed algorithm) ...", flush=True)
-    reference_s = bench_reference(sweep)
+    reference_s = bench_reference(sweep, args.trials)
     print(f"  reference: {reference_s:.3f}s")
 
     seed_s = None

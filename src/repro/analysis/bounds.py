@@ -61,6 +61,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -336,16 +337,6 @@ class _PassAccumulator:
     upper: int = 0
     by_function: Dict[str, List[int]] = field(default_factory=dict)
 
-    def charge(self, fn: str, lo: int, hi: int) -> None:
-        self.lower += lo
-        self.upper += hi
-        cell = self.by_function.get(fn)
-        if cell is None:
-            self.by_function[fn] = [lo, hi]
-        else:
-            cell[0] += lo
-            cell[1] += hi
-
 
 @dataclass(frozen=True)
 class PassBounds:
@@ -497,236 +488,218 @@ class BoundsAnalyzer:
         self.coalescing = cfg.write_coalescing
         self.streaming = cfg.non_allocating_writes
 
-    def _wb_member(self, entry: Tuple, block: int) -> bool:
-        """Is ``block`` buffered in concrete wb state ``entry``?"""
-        if self.coalescing:
-            return any(block in blks for _, blks in entry)
-        return block in entry
-
-    # ---- per-event transfer functions -------------------------------- #
-
-    def _bcache_stalls(self, value: TagValue, block: int) -> Tuple[int, int]:
-        """(lower, upper) stall of one b-cache access for ``block``."""
-        hit = self.cfg.bcache_hit_cycles
-        mem = self.cfg.main_memory_cycles
-        if must_resident(value, block):
-            return (hit, hit)
-        if may_resident(value, block):
-            return (hit, mem)
-        return (mem, mem)
-
-    def _fetch(self, st: MemState, b: int, fn: str, acc: _PassAccumulator) -> None:
-        cfg = self.cfg
-        s = b % self.ni
-        cur = st.icache.get(s, EMPTY)
-        if cur == b:
-            return  # must-hit: no stall, no state change
-        can_hit = not isinstance(cur, int) and b in cur
-        st.icache[s] = b  # a hit keeps tag b, a miss installs it
-
-        # ---- the miss path (always possible past the must-hit check) ---- #
-        stream = st.stream
-        nxt = b + 1
-        sb = b % self.nb
-        curb = st.bcache.get(sb, EMPTY)
-        b_lo, b_hi = self._bcache_stalls(curb, b)
-
-        stalls: List[int] = []
-        sh_possible = False
-        sm_possible = False
-        if stream is TOP:
-            sh_possible = sm_possible = True
-            stalls.extend(
-                (
-                    cfg.stream_hit_cycles,
-                    cfg.stream_hit_cycles
-                    + cfg.main_memory_cycles
-                    - cfg.bcache_hit_cycles,
-                    b_lo,
-                    b_hi,
-                )
-            )
-        else:
-            for blk, flag in stream:  # type: ignore[union-attr]
-                if blk == b:
-                    sh_possible = True
-                    stall = cfg.stream_hit_cycles
-                    if flag:
-                        stall += cfg.main_memory_cycles - cfg.bcache_hit_cycles
-                    stalls.append(stall)
-                else:
-                    sm_possible = True
-            if sm_possible:
-                stalls.extend((b_lo, b_hi))
-
-        miss_lo = min(stalls)
-        miss_hi = max(stalls)
-        acc.charge(fn, 0 if can_hit else miss_lo, miss_hi)
-
-        # b-cache install of b happens only on the stream-miss sub-path
-        if sm_possible:
-            if not can_hit and not sh_possible:
-                st.bcache[sb] = b
-            else:
-                st.bcache[sb] = join_tags(curb, b)
-
-        # ---- sequential prefetch of the next block ----------------------- #
-        # every miss sub-path prefetches b+1 unless it is already in the
-        # i-cache; the contains-probe sees the post-install i-cache state
-        s2 = nxt % self.ni
-        cur2 = st.icache.get(s2, EMPTY)
-        in_i_must = must_resident(cur2, nxt)
-        in_i_may = may_resident(cur2, nxt)
-        snb = nxt % self.nb
-        curnb = st.bcache.get(snb, EMPTY)
-        flag_false = may_resident(curnb, nxt)  # prefetch may hit b-cache
-        flag_true = not must_resident(curnb, nxt)
-
-        if not in_i_must:
-            # the prefetch performs a b-cache access that installs b+1
-            if not can_hit and not in_i_may:
-                st.bcache[snb] = nxt
-            else:
-                st.bcache[snb] = join_tags(curnb, nxt)
-
-        if stream is TOP:
-            return  # unknown stays unknown
-        new_states = set()
-        prefetched: List[StreamState] = []
-        if not in_i_must:
-            if flag_false:
-                prefetched.append((nxt, False))
-            if flag_true:
-                prefetched.append((nxt, True))
-        for state in stream:  # type: ignore[union-attr]
-            if can_hit:
-                new_states.add(state)  # fetch hit leaves everything alone
-            after_probe = _NO_STREAM if state[0] == b else state
-            if in_i_must:
-                new_states.add(after_probe)
-            else:
-                new_states.update(prefetched)
-                if in_i_may:
-                    new_states.add(after_probe)
-        st.stream = (
-            TOP if len(new_states) > _STREAM_CAP else frozenset(new_states)
-        )
-
-    def _read(self, st: MemState, d: int, fn: str, acc: _PassAccumulator) -> None:
-        s = d % self.nd
-        cur = st.dcache.get(s, EMPTY)
-        if cur == d:
-            return  # must-hit
-        can_hit = not isinstance(cur, int) and d in cur
-        st.dcache[s] = d  # read misses allocate; hits keep the tag
-
-        wb = st.wb
-        if wb is TOP:
-            fwd_possible, fwd_definite = True, False
-        else:
-            hits = [
-                self._wb_member(entry, d)
-                for entry in wb  # type: ignore[union-attr]
-            ]
-            fwd_possible = any(hits)
-            fwd_definite = all(hits)
-
-        stalls: List[int] = []
-        if fwd_possible:
-            stalls.append(self.cfg.write_forward_cycles)
-        if not fwd_definite:
-            sb = d % self.nb
-            curb = st.bcache.get(sb, EMPTY)
-            b_lo, b_hi = self._bcache_stalls(curb, d)
-            stalls.extend((b_lo, b_hi))
-            if not can_hit and not fwd_possible:
-                st.bcache[sb] = d
-            else:
-                st.bcache[sb] = join_tags(curb, d)
-        acc.charge(fn, 0 if can_hit else min(stalls), max(stalls))
-
-    def _write(self, st: MemState, w: int, fn: str, acc: _PassAccumulator) -> None:
-        full = self.cfg.write_buffer_full_cycles
-        wb = st.wb
-        if wb is TOP:
-            acc.charge(fn, 0, full)
-            if not self.streaming:
-                sw = w % self.nb
-                st.bcache[sw] = join_tags(st.bcache.get(sw, EMPTY), w)
-            return
-        lo = full
-        hi = 0
-        merge_possible = False
-        append_possible = False
-        new_states = set()
-        if self.coalescing:
-            pair = w >> 1
-            for entry in wb:  # type: ignore[union-attr]
-                if any(w in blks for _, blks in entry):
-                    merge_possible = True
-                    new_states.add(entry)
-                    lo = 0
-                    continue
-                append_possible = True
-                if any(p == pair for p, _ in entry):
-                    # the neighbour block is buffered: the store shares
-                    # its slot — never grows the FIFO, never overflows
-                    grown: Tuple = tuple(
-                        (p, blks + (w,)) if p == pair else (p, blks)
-                        for p, blks in entry
-                    )
-                    lo = 0
-                else:
-                    grown = entry + ((pair, (w,)),)
-                    if len(grown) > self.wb_depth:
-                        grown = grown[1:]
-                        hi = max(hi, full)
-                    else:
-                        lo = 0
-                new_states.add(grown)
-        else:
-            for entry in wb:  # type: ignore[union-attr]
-                if w in entry:
-                    merge_possible = True
-                    new_states.add(entry)
-                    lo = 0
-                else:
-                    append_possible = True
-                    grown = entry + (w,)
-                    if len(grown) > self.wb_depth:
-                        grown = grown[1:]
-                        hi = max(hi, full)
-                    else:
-                        lo = 0
-                    new_states.add(grown)
-        acc.charge(fn, min(lo, hi), hi)
-        if append_possible and not self.streaming:
-            # a new-block store retires through the b-cache and installs;
-            # streaming stores go around it, leaving the tags untouched
-            sw = w % self.nb
-            curw = st.bcache.get(sw, EMPTY)
-            if merge_possible:
-                st.bcache[sw] = join_tags(curw, w)
-            else:
-                st.bcache[sw] = w
-        st.wb = TOP if len(new_states) > _WB_CAP else frozenset(new_states)
-
-    # ---- passes and the persistence fixed point ----------------------- #
+    # ---- one pass and the persistence fixed point -------------------- #
 
     def run_pass(self, st: MemState) -> _PassAccumulator:
-        """One abstract pass over the events, mutating ``st`` in place."""
-        acc = _PassAccumulator()
-        fetch = self._fetch
-        read = self._read
-        write = self._write
-        for kind, block, fn in self.events:
+        """One abstract pass over the events, mutating ``st`` in place.
+
+        The fetch, read and write transfer functions are fused into one
+        loop, the way :meth:`repro.arch.fastsim.FastMachine._mem_pass`
+        fuses the concrete hierarchy: latencies, geometry and the three
+        tag maps are locals, and each event's ``(lower, upper)`` stall is
+        charged to its function in a local dict.  A must-hit charges
+        nothing; a definite b-cache outcome charges its exact latency; a
+        may-resident tag or a joined stream/write-buffer state widens the
+        interval to every outcome one of its members allows.
+        """
+        cfg = self.cfg
+        hit = cfg.bcache_hit_cycles
+        mem = cfg.main_memory_cycles
+        may_lo, may_hi = min(hit, mem), max(hit, mem)
+        sh = cfg.stream_hit_cycles
+        sh_late = sh + mem - hit  # stream hit whose prefetch missed the b-cache
+        fwd = cfg.write_forward_cycles
+        full = cfg.write_buffer_full_cycles
+        ni, nd, nb, depth = self.ni, self.nd, self.nb, self.wb_depth
+        coalescing = self.coalescing
+        allocating = not self.streaming
+        icache, dcache, bcache = st.icache, st.dcache, st.bcache
+        stream, wb = st.stream, st.wb
+        by_function: Dict[str, List[int]] = {}
+        for kind, b, fn in self.events:
             if kind == 0:
-                fetch(st, block, fn, acc)
+                # ---- fetch: i-cache, then stream buffer or b-cache ---- #
+                s = b % ni
+                cur = icache.get(s, EMPTY)
+                if cur == b:
+                    continue  # must-hit: no stall, no state change
+                can_hit = not isinstance(cur, int) and b in cur
+                icache[s] = b  # a hit keeps tag b, a miss installs it
+                sb = b % nb
+                curb = bcache.get(sb, EMPTY)
+                if curb == b:
+                    lo = hi = hit
+                elif not isinstance(curb, int) and b in curb:
+                    lo, hi = may_lo, may_hi
+                else:
+                    lo = hi = mem
+                if stream is TOP:
+                    early = late = miss = True
+                else:
+                    early = late = miss = False
+                    for held, was_miss in stream:  # type: ignore[union-attr]
+                        if held != b:
+                            miss = True
+                        elif was_miss:
+                            late = True
+                        else:
+                            early = True
+                if not miss:
+                    lo = hi = sh_late if late else sh
+                if early:
+                    if sh < lo:
+                        lo = sh
+                    if sh > hi:
+                        hi = sh
+                if late:
+                    if sh_late < lo:
+                        lo = sh_late
+                    if sh_late > hi:
+                        hi = sh_late
+                if can_hit:
+                    lo = 0
+                # the b-cache installs b only on the stream-miss path
+                if miss:
+                    if can_hit or early or late:
+                        bcache[sb] = join_tags(curb, b)
+                    else:
+                        bcache[sb] = b
+                # every miss path prefetches b+1 unless the (post-install)
+                # i-cache holds it; the prefetch's b-cache access installs it
+                nxt = b + 1
+                cur = icache.get(nxt % ni, EMPTY)
+                in_i_must = cur == nxt
+                in_i_may = in_i_must or (not isinstance(cur, int) and nxt in cur)
+                sb = nxt % nb
+                curb = bcache.get(sb, EMPTY)
+                in_b_must = curb == nxt
+                in_b_may = in_b_must or (not isinstance(curb, int) and nxt in curb)
+                if not in_i_must:
+                    if can_hit or in_i_may:
+                        bcache[sb] = join_tags(curb, nxt)
+                    else:
+                        bcache[sb] = nxt
+                if stream is not TOP:
+                    # a fetch hit leaves the buffer alone; a miss probes it
+                    # (consuming a hit), then refills it with the prefetch
+                    states: Set[StreamState] = set()
+                    if can_hit:
+                        states.update(stream)  # type: ignore[arg-type]
+                    if in_i_may:
+                        states.update(
+                            _NO_STREAM if state[0] == b else state
+                            for state in stream  # type: ignore[union-attr]
+                        )
+                    if not in_i_must:
+                        if in_b_may:
+                            states.add((nxt, False))
+                        if not in_b_must:
+                            states.add((nxt, True))
+                    stream = TOP if len(states) > _STREAM_CAP else frozenset(states)
             elif kind == 1:
-                read(st, block, fn, acc)
+                # ---- read: d-cache, then store forwarding or b-cache ---- #
+                s = b % nd
+                cur = dcache.get(s, EMPTY)
+                if cur == b:
+                    continue  # must-hit
+                can_hit = not isinstance(cur, int) and b in cur
+                dcache[s] = b  # read misses allocate; hits keep the tag
+                if wb is TOP:
+                    fwd_possible, fwd_definite = True, False
+                else:
+                    fwd_possible, fwd_definite = False, True
+                    for entry in wb:  # type: ignore[union-attr]
+                        if (
+                            any(b in blks for _, blks in entry)
+                            if coalescing
+                            else b in entry
+                        ):
+                            fwd_possible = True
+                        else:
+                            fwd_definite = False
+                if fwd_definite:
+                    lo = hi = fwd
+                else:
+                    sb = b % nb
+                    curb = bcache.get(sb, EMPTY)
+                    if curb == b:
+                        lo = hi = hit
+                    elif not isinstance(curb, int) and b in curb:
+                        lo, hi = may_lo, may_hi
+                    else:
+                        lo = hi = mem
+                    if fwd_possible:
+                        lo, hi = min(lo, fwd), max(hi, fwd)
+                    if can_hit or fwd_possible:
+                        bcache[sb] = join_tags(curb, b)
+                    else:
+                        bcache[sb] = b
+                if can_hit:
+                    lo = 0
+            elif wb is TOP:
+                # ---- write into an unknown buffer: anything may happen ---- #
+                lo, hi = 0, full
+                if allocating:
+                    sb = b % nb
+                    bcache[sb] = join_tags(bcache.get(sb, EMPTY), b)
             else:
-                write(st, block, fn, acc)
-        return acc
+                # ---- write: merge, share a coalesced slot, or append ---- #
+                lo, hi = full, 0
+                merge_possible = append_possible = False
+                entries: Set[Tuple] = set()
+                pair = b >> 1
+                for entry in wb:  # type: ignore[union-attr]
+                    if (
+                        any(b in blks for _, blks in entry)
+                        if coalescing
+                        else b in entry
+                    ):
+                        merge_possible = True
+                        entries.add(entry)
+                        lo = 0
+                        continue
+                    append_possible = True
+                    if coalescing and any(p == pair for p, _ in entry):
+                        # the neighbour block is buffered: the store shares
+                        # its slot, never grows the FIFO, never overflows
+                        grown: Tuple = tuple(
+                            (p, blks + (b,)) if p == pair else (p, blks)
+                            for p, blks in entry
+                        )
+                        lo = 0
+                    else:
+                        grown = entry + (((pair, (b,)),) if coalescing else (b,))
+                        if len(grown) > depth:
+                            grown = grown[1:]
+                            if full > hi:
+                                hi = full
+                        else:
+                            lo = 0
+                    entries.add(grown)
+                if hi < lo:
+                    lo = hi
+                if append_possible and allocating:
+                    # a new-block store retires through the b-cache and
+                    # installs; streaming stores leave the tags untouched
+                    sb = b % nb
+                    if merge_possible:
+                        bcache[sb] = join_tags(bcache.get(sb, EMPTY), b)
+                    else:
+                        bcache[sb] = b
+                wb = TOP if len(entries) > _WB_CAP else frozenset(entries)
+            cell = by_function.get(fn)
+            if cell is None:
+                by_function[fn] = [lo, hi]
+            else:
+                cell[0] += lo
+                cell[1] += hi
+        st.stream = stream
+        st.wb = wb
+        return _PassAccumulator(
+            lower=sum(cell[0] for cell in by_function.values()),
+            upper=sum(cell[1] for cell in by_function.values()),
+            by_function=by_function,
+        )
 
     def analyze(
         self, *, stack: str = "", config: str = ""
@@ -855,15 +828,18 @@ def check_cell_bounds(
 ) -> Tuple[LatencyBounds, List[Finding]]:
     """Compute one cell's bounds and validate them against a simulation.
 
-    ``engine`` picks the measuring engine (``fast`` or ``reference``).
+    ``engine`` picks the measuring engine, resolved as
+    :class:`~repro.harness.experiment.Experiment` resolves it: ``None``
+    reads ``REPRO_SIM_ENGINE`` and an unknown name raises ``ValueError``.
     Returns the bounds plus any invariant-violation findings — an empty
     list is the machine-checked claim ``lower <= simulated <= upper`` for
     both the cold and the steady measurement.
     """
+    from repro.api.settings import Settings
     from repro.arch.simulator import AlphaConfig
     from repro.harness.experiment import simulate_walk
 
-    resolved = "reference" if engine == "reference" else "fast"
+    resolved = Settings.from_env().with_engine(engine).engine
     program, walk = _cell_walk(stack, config, opts=opts, seed=seed, engine=resolved)
     digest = digest_trace(walk.packed, program)
     placements = {

@@ -158,9 +158,16 @@ def data_blocks(packed: PackedTrace, block_size: int) -> array:
 def cpu_pass(packed: PackedTrace, config: Optional[CpuConfig] = None) -> CpuStats:
     """Issue a packed trace through the dual-issue model in one flat loop.
 
-    Exactly equivalent to ``CpuModel(config).run(trace)``.
+    Exactly equivalent to ``CpuModel(config).run(trace)``.  The result
+    depends only on ``ops``/``flags``, so like :func:`fetch_runs` it lives
+    in the trace's shared cache, keyed by config: a template and its
+    rebinds share one pass.  Each call returns a fresh :class:`CpuStats`.
     """
     cfg = config or CpuConfig()
+    key = ("cpu", cfg)
+    cached = packed._shared.get(key)
+    if cached is not None:
+        return replace(cached)
     mul_extra = cfg.multiply_extra_cycles
     br_pen = cfg.taken_branch_penalty
     pair = _PAIR
@@ -199,13 +206,14 @@ def cpu_pass(packed: PackedTrace, config: Optional[CpuConfig] = None) -> CpuStat
         cycles += 1 + pending_pen
         wasted += 1
 
-    return CpuStats(
+    stats = packed._shared[key] = CpuStats(
         instructions=len(packed),
         cycles=cycles,
         issue_slots_wasted=wasted,
         taken_branches=taken,
         multiplies=mults,
     )
+    return replace(stats)
 
 
 # --------------------------------------------------------------------------- #
@@ -715,13 +723,12 @@ def simulate_cold_and_steady(
     """
     packed = as_packed(trace)
     cfg = config or AlphaConfig()
-    cpu = cpu_pass(packed, cfg.cpu)
     cold_mem, steady_mem = cold_and_steady_memory(
         packed, cfg, warmup_rounds=warmup_rounds
     )
     return (
-        SimResult(cpu=cpu, memory=cold_mem),
-        SimResult(cpu=replace(cpu), memory=steady_mem),
+        SimResult(cpu=cpu_pass(packed, cfg.cpu), memory=cold_mem),
+        SimResult(cpu=cpu_pass(packed, cfg.cpu), memory=steady_mem),
     )
 
 

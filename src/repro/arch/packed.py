@@ -70,10 +70,11 @@ class PackedTrace:
         #: derived-column cache (block-number columns, keyed by block size);
         #: see :func:`repro.arch.fastsim.data_blocks`
         self._derived: dict = {}
-        #: cache for derivations that depend only on ``pcs``/``ops``; a
+        #: cache for derivations of ``pcs``, ``ops`` and ``flags`` only; a
         #: template rebind points every sibling trace (same code, different
-        #: data addresses) at one shared dict, so fetch-run structure is
-        #: computed once per template (see ``repro.arch.fastsim.fetch_runs``)
+        #: data addresses) at one shared dict, so the fetch-run encoding and
+        #: the CPU pass are computed once per template (see
+        #: ``repro.arch.fastsim.fetch_runs`` and ``cpu_pass``)
         self._shared: dict = {}
 
     # ------------------------------------------------------------------ #

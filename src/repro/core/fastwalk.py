@@ -100,8 +100,8 @@ class TraceTemplate:
         self.marks = result.marks
         #: source key -> (base address at template time, daddr indices)
         self.slots = bindings
-        #: pcs/ops-derived caches shared by the template's packed trace and
-        #: every rebind (e.g. the fast kernel's fetch-run encoding)
+        #: pcs/ops/flags-derived caches shared by the template's packed
+        #: trace and every rebind (the fetch-run encoding, the CPU pass)
         self.shared = packed._shared
 
     def rebind(self, events: Sequence[Event],

@@ -41,10 +41,10 @@ survive the rewrite.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
+from repro.core.ir import DataRef, Instruction
 from repro.core.program import Program
 
 __all__ = [
@@ -241,8 +241,8 @@ def apply_data_layout(
                 if d is not None and not d.indexed and d.region in remaps:
                     new_off = remaps[d.region][d.offset]
                     if new_off != d.offset:
-                        ins = dataclasses.replace(
-                            ins, dref=dataclasses.replace(d, offset=new_off)
+                        ins = Instruction(
+                            ins.op, DataRef(d.region, new_off, d.indexed, d.stride)
                         )
                         blk_changed = True
                         rewritten += 1

@@ -6,16 +6,20 @@ Four layers of evidence, cheapest first:
   values (joins, residency queries, widening caps);
 * the abstract transfer is *differentially* validated against the
   concrete :class:`~repro.arch.memory.MemoryHierarchy` on seeded random
-  access streams over a miniature geometry — cold passes must agree
-  bit for bit, steady passes must stay inside the bounds, and a pass
-  from a joined state must cover both joined branches;
+  access streams over miniature geometries, in every store mode — cold
+  passes must agree bit for bit, steady passes must stay inside the
+  bounds, and a pass from a joined state must cover every joined
+  branch;
 * hand-built mini-IR programs pin down the digest shape, the layout
   re-binding, and the conflict/persistence behaviour end to end;
 * real cells (the full grid lives in ``benchmarks/check_bounds.py``)
-  plus the mutation property, the ``api.analyze`` facade and the CLI
-  exit-code contract.
+  plus the mutation property, the engine choice, the data-layout grid's
+  pinned bounds, the ``api.analyze`` facade and the CLI exit-code
+  contract.
 """
 
+import dataclasses
+import hashlib
 import json
 import random
 
@@ -47,7 +51,29 @@ from repro.harness.configs import CONFIG_NAMES
 #: random streams over a few dozen blocks actually conflict everywhere
 MINI = MemoryConfig(icache_size=256, dcache_size=256, bcache_size=2048)
 
+#: a second geometry: 4-block i/d-caches, 32-block b-cache, 2-deep write buffer
+TINY = MemoryConfig(
+    icache_size=128, dcache_size=128, bcache_size=1024, write_buffer_depth=2
+)
+
+#: both geometries under each of the four store modes, by ``geometry-mode``
+STORE_MODES = {
+    f"{name}-{memory.store_mode()}": memory
+    for name, geometry in (("mini", MINI), ("tiny", TINY))
+    for memory in (
+        dataclasses.replace(
+            geometry, write_coalescing=coalescing, non_allocating_writes=streaming
+        )
+        for coalescing in (False, True)
+        for streaming in (False, True)
+    )
+}
+
 CELLS = [(stack, config) for stack in ("tcpip", "rpc") for config in CONFIG_NAMES]
+
+#: sha256 of the 72 data-layout grid cells' ``LatencyBounds.to_json()``
+#: (``by_function`` included), in (stack, config, technique) order
+GRID_BOUNDS_SHA256 = "a103633a9f103e44d2b1d7c1e7262aafa6d494b630744f3fed3957b4cb529e2a"
 
 
 @pytest.fixture(scope="module")
@@ -136,42 +162,101 @@ def _random_trace(rng, length, *, nblocks=24, ndata=16):
     return entries
 
 
-def _events_of(trace):
-    """The bound-event stream a digest of ``trace`` would expand to."""
+def _events_of(trace, functions=1):
+    """The bound-event stream a digest of ``trace`` would expand to; with
+    ``functions`` > 1 each i-block is charged to one of that many names."""
     events = []
     for entry in trace:
-        events.append((0, entry.pc // MINI.block_size, "fn"))
+        block = entry.pc // MINI.block_size
+        fn = f"f{block % functions}" if functions > 1 else "fn"
+        events.append((0, block, fn))
         if entry.daddr is not None:
             kind = 2 if entry.dwrite else 1
-            events.append((kind, entry.daddr // MINI.block_size, "fn"))
+            events.append((kind, entry.daddr // MINI.block_size, fn))
     return events
+
+
+def _assert_cold_pass_is_exact(trace, memory):
+    """From the empty state the analysis is concrete: zero slack."""
+    concrete = MemoryHierarchy(memory).run(trace).stall_cycles
+    analyzer = BoundsAnalyzer(_events_of(trace), len(trace), memory=memory)
+    acc = analyzer.run_pass(MemState())
+    assert acc.lower == acc.upper == concrete
+
+
+def _assert_steady_bounds_cover_passes_3_to_6(trace, memory, functions=1):
+    events = _events_of(trace, functions)
+    bounds = BoundsAnalyzer(events, len(trace), memory=memory).analyze()
+    hierarchy = MemoryHierarchy(memory)
+    hierarchy.run(trace)  # cold
+    hierarchy.run(trace)  # warm-up (both engines warm up twice)
+    for _ in range(4):  # passes 3..6 are all valid "steady" reads
+        before = hierarchy.stats.stall_cycles
+        hierarchy.run(trace)
+        delta = hierarchy.stats.stall_cycles - before
+        low = bounds.steady.lower_stalls
+        high = bounds.steady.upper_stalls
+        assert low <= delta <= high
+
+
+def _assert_fetch_dedup_keeps_the_bounds(trace, memory):
+    """bind_digest drops a fetch of the block the previous fetch
+    touched; bounds over those events equal bounds over every fetch."""
+    digest = []
+    for entry in trace:
+        digest.append(("X", "fn", entry.pc, 1))
+        if entry.daddr is not None:
+            kind = "W" if entry.dwrite else "R"
+            digest.append((kind, "fn", entry.daddr // MINI.block_size, 0))
+    bound = bind_digest(
+        TraceDigest(tuple(digest), len(trace)),
+        {"fn": 0},
+        block_bytes=MINI.block_size,
+    )
+    every = _events_of(trace)
+    assert len(bound) < len(every)
+    deduplicated = BoundsAnalyzer(bound, len(trace), memory=memory).analyze()
+    expanded = BoundsAnalyzer(every, len(trace), memory=memory).analyze()
+    assert deduplicated == expanded
+
+
+def _assert_converged_pass_is_the_steady_bound(trace, memory, functions=1):
+    """analyze() keeps the converged iteration's pass as the steady bound;
+    it must equal one more pass run from the fixed point."""
+    events = _events_of(trace, functions)
+    analyzer = BoundsAnalyzer(events, len(trace), memory=memory)
+    bounds = analyzer.analyze()
+
+    st = MemState()
+    analyzer.run_pass(st)
+    analyzer.run_pass(st)
+    joined, iterations = st, 0
+    while True:
+        nxt = joined.copy()
+        analyzer.run_pass(nxt)
+        merged = joined.join(nxt)
+        if merged == joined:
+            break
+        joined, iterations = merged, iterations + 1
+    steady = analyzer.run_pass(joined.copy())
+
+    got = bounds.steady
+    assert (got.lower_stalls, got.upper_stalls) == (steady.lower, steady.upper)
+    assert got.by_function == {
+        fn: tuple(pair) for fn, pair in steady.by_function.items()
+    }
+    assert bounds.persistence_iterations == iterations
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(10))
     def test_cold_pass_is_bit_exact(self, seed):
-        """From the empty state the analysis is concrete: zero slack."""
-        trace = _random_trace(random.Random(seed), 200)
-        concrete = MemoryHierarchy(MINI).run(trace).stall_cycles
-        analyzer = BoundsAnalyzer(_events_of(trace), len(trace), memory=MINI)
-        acc = analyzer.run_pass(MemState())
-        assert acc.lower == acc.upper == concrete
+        _assert_cold_pass_is_exact(_random_trace(random.Random(seed), 200), MINI)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_steady_bounds_cover_every_later_pass(self, seed):
         trace = _random_trace(random.Random(seed), 200)
-        analyzer = BoundsAnalyzer(_events_of(trace), len(trace), memory=MINI)
-        bounds = analyzer.analyze()
-        hierarchy = MemoryHierarchy(MINI)
-        hierarchy.run(trace)  # cold
-        hierarchy.run(trace)  # warm-up (both engines warm up twice)
-        for _ in range(4):  # passes 3..6 are all valid "steady" reads
-            before = hierarchy.stats.stall_cycles
-            hierarchy.run(trace)
-            delta = hierarchy.stats.stall_cycles - before
-            low = bounds.steady.lower_stalls
-            high = bounds.steady.upper_stalls
-            assert low <= delta <= high
+        _assert_steady_bounds_cover_passes_3_to_6(trace, MINI)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_joined_state_covers_both_branches(self, seed):
@@ -206,25 +291,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dropping_repeated_fetches_keeps_the_bounds(self, seed):
-        """bind_digest drops a fetch of the block the previous fetch
-        touched; bounds over those events equal bounds over every fetch."""
-        trace = _random_trace(random.Random(seed), 200)
-        digest = []
-        for entry in trace:
-            digest.append(("X", "fn", entry.pc, 1))
-            if entry.daddr is not None:
-                kind = "W" if entry.dwrite else "R"
-                digest.append((kind, "fn", entry.daddr // MINI.block_size, 0))
-        bound = bind_digest(
-            TraceDigest(tuple(digest), len(trace)),
-            {"fn": 0},
-            block_bytes=MINI.block_size,
+        _assert_fetch_dedup_keeps_the_bounds(
+            _random_trace(random.Random(seed), 200), MINI
         )
-        every = _events_of(trace)
-        assert len(bound) < len(every)
-        deduplicated = BoundsAnalyzer(bound, len(trace), memory=MINI).analyze()
-        expanded = BoundsAnalyzer(every, len(trace), memory=MINI).analyze()
-        assert deduplicated == expanded
 
 
 class TestConvergedPass:
@@ -239,28 +308,99 @@ class TestConvergedPass:
     )
     def test_random_streams(self, seed, length, nblocks, ndata):
         trace = _random_trace(random.Random(seed), length, nblocks=nblocks, ndata=ndata)
-        analyzer = BoundsAnalyzer(_events_of(trace), len(trace), memory=MINI)
-        bounds = analyzer.analyze()
+        _assert_converged_pass_is_the_steady_bound(trace, MINI)
 
+
+#: sha256 prefix of the 20 seeded joined-prefix passes of each
+#: ``STORE_MODES`` entry (``[lower, upper, sorted by_function items]`` per
+#: seed, as JSON)
+JOINED_PASS_DIGESTS = {
+    "mini-buffered": "06933b5b45178d2c",
+    "mini-streaming": "9e8b8a4e693dfda3",
+    "mini-coalescing": "238bf02b206d251d",
+    "mini-coalescing+streaming": "c01d93072ca4ac5b",
+    "tiny-buffered": "cf9e79b177bc3fc8",
+    "tiny-streaming": "2fa41f4a61bab3fa",
+    "tiny-coalescing": "00506c4cbf0100bb",
+    "tiny-coalescing+streaming": "f5d6c1d3a2281c02",
+}
+
+
+class TestStoreModes:
+    """The same differential evidence in every store mode, on two geometries."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("memory", STORE_MODES.values(), ids=STORE_MODES.keys())
+    def test_cold_pass_is_bit_exact(self, memory, seed):
+        _assert_cold_pass_is_exact(_random_trace(random.Random(seed), 200), memory)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("memory", STORE_MODES.values(), ids=STORE_MODES.keys())
+    def test_steady_bounds_cover_passes_3_to_6(self, memory, seed):
+        trace = _random_trace(random.Random(seed), 200)
+        _assert_steady_bounds_cover_passes_3_to_6(trace, memory, functions=3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("memory", STORE_MODES.values(), ids=STORE_MODES.keys())
+    def test_dropping_repeated_fetches_keeps_the_bounds(self, memory, seed):
+        trace = _random_trace(random.Random(seed), 200)
+        _assert_fetch_dedup_keeps_the_bounds(trace, memory)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("memory", STORE_MODES.values(), ids=STORE_MODES.keys())
+    def test_converged_pass_is_the_steady_bound(self, memory, seed):
+        trace = _random_trace(random.Random(seed), 200, nblocks=16, ndata=8)
+        _assert_converged_pass_is_the_steady_bound(trace, memory, functions=3)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_store_into_an_unknown_buffer(self, streaming):
+        """A store into a widened write buffer may stall or not; it reaches
+        the b-cache only when stores allocate there."""
+        memory = dataclasses.replace(MINI, non_allocating_writes=streaming)
+        nb = memory.bcache_size // memory.block_size
         st = MemState()
-        analyzer.run_pass(st)
-        analyzer.run_pass(st)
-        joined, iterations = st, 0
-        while True:
-            nxt = joined.copy()
-            analyzer.run_pass(nxt)
-            merged = joined.join(nxt)
-            if merged == joined:
-                break
-            joined, iterations = merged, iterations + 1
-        steady = analyzer.run_pass(joined.copy())
+        st.wb = TOP
+        st.bcache[5] = 5
+        store = [(2, 5 + nb, "fn")]  # a data block in b-cache set 5
+        acc = BoundsAnalyzer(store, 1, memory=memory).run_pass(st)
+        assert (acc.lower, acc.upper) == (0, memory.write_buffer_full_cycles)
+        assert st.wb is TOP
+        assert st.bcache == {5: 5 if streaming else frozenset((5, 5 + nb))}
 
-        got = bounds.steady
-        assert (got.lower_stalls, got.upper_stalls) == (steady.lower, steady.upper)
-        assert got.by_function == {
-            fn: tuple(pair) for fn, pair in steady.by_function.items()
-        }
-        assert bounds.persistence_iterations == iterations
+    @pytest.mark.parametrize("name", STORE_MODES)
+    def test_joined_prefixes_bound_every_prefix(self, name):
+        """A pass from the join of 2 to 20 prefixes' exit states bounds the
+        concrete suffix after each prefix; the joins reach may-sets, and
+        the larger ones widen the stream and write buffer to TOP."""
+        memory = STORE_MODES[name]
+        passes = []
+        widened = {"stream": 0, "wb": 0}
+        for seed in range(20):
+            rng = random.Random(5000 + seed)
+            count = rng.randrange(2, 21)
+            prefixes = [_random_trace(rng, rng.randrange(10, 80)) for _ in range(count)]
+            suffix = _random_trace(rng, 120)
+            joined = None
+            for prefix in prefixes:
+                st = MemState()
+                events = _events_of(prefix)
+                BoundsAnalyzer(events, len(prefix), memory=memory).run_pass(st)
+                joined = st if joined is None else joined.join(st)
+            widened["stream"] += joined.stream is TOP
+            widened["wb"] += joined.wb is TOP
+            events = _events_of(suffix, functions=3)
+            acc = BoundsAnalyzer(events, len(suffix), memory=memory).run_pass(joined)
+            for prefix in prefixes:
+                hierarchy = MemoryHierarchy(memory)
+                hierarchy.run(prefix)
+                before = hierarchy.stats.stall_cycles
+                hierarchy.run(suffix)
+                concrete = hierarchy.stats.stall_cycles - before
+                assert acc.lower <= concrete <= acc.upper
+            passes.append([acc.lower, acc.upper, sorted(acc.by_function.items())])
+        assert 0 < widened["stream"] < 20 and 0 < widened["wb"] < 20, widened
+        digest = hashlib.sha256(json.dumps(passes).encode()).hexdigest()
+        assert digest[:16] == JOINED_PASS_DIGESTS[name]
 
 
 # --------------------------------------------------------------------------- #
@@ -417,6 +557,52 @@ class TestCells:
         bounds, findings = check_cell_bounds(stack, config, engine="fast")
         assert findings == []
         assert bounds.cold.exact  # cold starts empty: slack = model bug
+
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="valid engines: fast, reference"):
+            check_cell_bounds("tcpip", "STD", engine="gensim")
+
+    def test_default_engine_comes_from_the_environment(self, monkeypatch):
+        import repro.harness.experiment as experiment
+
+        engines = []
+        simulate = experiment.simulate_walk
+
+        def recording(walk, engine, *args, **kwargs):
+            engines.append(engine)
+            return simulate(walk, engine, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "simulate_walk", recording)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        _, findings = check_cell_bounds("rpc", "STD")
+        assert findings == []
+        assert engines == ["reference"]
+
+    def test_grid_bounds_are_byte_identical(self):
+        """Every grid cell's full bounds; the grid's output carries only
+        the steady totals."""
+        from repro.datalayout.study import STUDY_STACKS, _image
+        from repro.datalayout.techniques import DATA_TECHNIQUES
+
+        digest = hashlib.sha256()
+        for stack in STUDY_STACKS:
+            for config in CONFIG_NAMES:
+                images = {}
+                for technique in DATA_TECHNIQUES.values():
+                    if technique.layout not in images:
+                        images[technique.layout] = _image(
+                            stack, config, technique, engine="fast", seed=42, opts=None
+                        )
+                    image = images[technique.layout]
+                    bounds = bounds_from_digest(
+                        image.digest,
+                        image.placements,
+                        stack=stack,
+                        config=config,
+                        memory=technique.memory(),
+                    )
+                    digest.update(json.dumps(bounds.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == GRID_BOUNDS_SHA256
 
     @pytest.mark.parametrize("cell", CELLS, ids="-".join)
     def test_packed_and_entry_digests_agree(self, cell_walks, cell):

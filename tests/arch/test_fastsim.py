@@ -8,7 +8,7 @@ differential tests that hold the fast engine to that contract.
 
 import pytest
 
-from repro.arch.cpu import CpuModel
+from repro.arch.cpu import CpuConfig, CpuModel
 from repro.arch.fastsim import (
     FastMachine,
     cpu_pass,
@@ -19,6 +19,7 @@ from repro.arch.fastsim import (
 from repro.arch.packed import IS_MEMORY
 from repro.arch.simcache import clear_caches, simulate_cold_and_steady_cached
 from repro.arch.simulator import MachineSimulator
+from repro.core.fastwalk import FastWalker
 from repro.core.walker import Walker
 from repro.harness.configs import CONFIG_NAMES, build_configured_program_cached
 from repro.harness.experiment import Experiment
@@ -86,6 +87,31 @@ def test_warm_up_evolves_state_like_reference(walks):
 def test_cpu_pass_matches_cpu_model(walks):
     walk = walks[("tcpip", "STD")]
     assert cpu_pass(walk.packed) == CpuModel().run(walk.trace)
+
+
+def test_cpu_pass_is_shared_by_a_template_and_its_rebinds():
+    # the pass reads only ops/flags, which a rebind shares with its
+    # template: one result per config, handed out as fresh copies
+    exp = Experiment("rpc", "ALL")
+    build = build_configured_program_cached("rpc", "ALL")
+    events, data_env = exp.capture_roundtrip(42)
+    template = FastWalker(build.program, data_env).walk(events)
+    events, _ = exp.capture_roundtrip(59)
+    rebound = FastWalker(build.program, data_env).walk(events)
+    assert rebound.packed._shared is template.packed._shared
+
+    first = cpu_pass(template.packed)
+    second = cpu_pass(rebound.packed)
+    expected = CpuModel().run(rebound.trace)
+    assert first == second == expected
+    assert first is not second
+    first.cycles += 1000
+    second.multiplies = -1
+    assert cpu_pass(template.packed) == cpu_pass(rebound.packed) == expected
+
+    other = CpuConfig(taken_branch_penalty=0)
+    assert cpu_pass(rebound.packed, other) == CpuModel(other).run(rebound.trace)
+    assert cpu_pass(rebound.packed, other) != expected
 
 
 def test_accepts_entry_sequences(walks):
