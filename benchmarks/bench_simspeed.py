@@ -18,8 +18,10 @@ Produces ``BENCH_simspeed.json`` (repo root) with machine-readable timings:
     on today's shared infrastructure;
   - ``fast_seconds``: the current tree's fast engine;
 
-  both sides clear the caches between trials and report the best of
-  ``--trials``, so their ratio compares like with like.
+  both in-tree sides run serially (one core, no worker pool) and clear
+  the caches before every trial; they alternate one trial each per
+  round and report the best of ``--trials``, so their ratio compares
+  like with like under the same host load.
 
 * ``smoke_end_to_end`` — the same sweep at smoke size (2/1 samples),
   which the perf-ledger gate compares: a reduced sweep amortizes the
@@ -118,39 +120,42 @@ def bench_kernel() -> dict:
     }
 
 
-def _sweep_once(sweep, **kwargs) -> float:
+def bench_fast(sweep) -> float:
+    """One sweep on the fast engine, serial like the reference side."""
+    _reset_caches()
     t0 = time.perf_counter()
     for stack, samples in sweep:
-        run_all_configs(stack, CONFIG_NAMES, samples=samples, **kwargs)
+        run_all_configs(stack, CONFIG_NAMES, samples=samples, engine="fast",
+                        parallel=False)
     return time.perf_counter() - t0
 
 
-def bench_fast(sweep, trials: int) -> float:
-    best = float("inf")
-    for _ in range(trials):
-        _reset_caches()
-        best = min(best, _sweep_once(sweep, engine="fast"))
-    return best
+def bench_reference(sweep) -> float:
+    """One sweep of the seed algorithm on today's tree: reference engine,
+    no memoization."""
+    _reset_caches()
+    t0 = time.perf_counter()
+    for stack, samples in sweep:
+        server_ref = None
+        if stack == "rpc":
+            best = Experiment(stack, "ALL", engine="reference",
+                              memoize_captures=False).run(samples=1)
+            server_ref = best.mean_processing_us
+        for config in CONFIG_NAMES:
+            Experiment(stack, config, engine="reference",
+                       memoize_captures=False,
+                       server_processing_us=server_ref).run(samples=samples)
+    return time.perf_counter() - t0
 
 
-def bench_reference(sweep, trials: int) -> float:
-    """The seed algorithm on today's tree: reference engine, no memoization."""
-    best_s = float("inf")
+def bench_sweep(sweep, trials: int) -> tuple:
+    """Best-of-``trials`` (fast, reference) seconds, one trial of each per
+    round, so a burst of host load reaches both sides alike."""
+    fast_s = reference_s = float("inf")
     for _ in range(trials):
-        _reset_caches()
-        t0 = time.perf_counter()
-        for stack, samples in sweep:
-            server_ref = None
-            if stack == "rpc":
-                best = Experiment(stack, "ALL", engine="reference",
-                                  memoize_captures=False).run(samples=1)
-                server_ref = best.mean_processing_us
-            for config in CONFIG_NAMES:
-                Experiment(stack, config, engine="reference",
-                           memoize_captures=False,
-                           server_processing_us=server_ref).run(samples=samples)
-        best_s = min(best_s, time.perf_counter() - t0)
-    return best_s
+        fast_s = min(fast_s, bench_fast(sweep))
+        reference_s = min(reference_s, bench_reference(sweep))
+    return fast_s, reference_s
 
 
 _SEED_DRIVER = """\
@@ -230,13 +235,10 @@ def main(argv=None) -> int:
           f"fast {kernel['fast_entries_per_sec']:,} entries/s "
           f"({kernel['kernel_speedup']}x)")
 
-    print("end-to-end sweep, fast engine ...", flush=True)
-    fast_s = bench_fast(sweep, args.trials)
-    print(f"  fast: {fast_s:.3f}s")
-
-    print("end-to-end sweep, reference engine (seed algorithm) ...", flush=True)
-    reference_s = bench_reference(sweep, args.trials)
-    print(f"  reference: {reference_s:.3f}s")
+    print("end-to-end sweep, fast and reference (seed algorithm) engines "
+          "alternating ...", flush=True)
+    fast_s, reference_s = bench_sweep(sweep, args.trials)
+    print(f"  fast: {fast_s:.3f}s, reference: {reference_s:.3f}s")
 
     seed_s = None
     if not args.no_seed:
@@ -250,9 +252,8 @@ def main(argv=None) -> int:
         # Also record the smoke-sized ratio the gate compares: CI runs
         # --smoke (the full sweep is too slow for every PR).
         print("smoke-sized sweep (perf-ledger gate baseline) ...", flush=True)
-        smoke_fast_s = bench_fast(SMOKE_SWEEP, max(args.trials, 3))
-        smoke_reference_s = bench_reference(SMOKE_SWEEP,
-                                            trials=max(args.trials, 3))
+        smoke_fast_s, smoke_reference_s = bench_sweep(SMOKE_SWEEP,
+                                                      max(args.trials, 3))
         smoke_baseline = {
             "sweep": [{"stack": s, "samples": n} for s, n in SMOKE_SWEEP],
             "fast_seconds": round(smoke_fast_s, 3),

@@ -760,10 +760,17 @@ def bounds_from_digest(
     stack: str = "",
     config: str = "",
     memory: Optional[MemoryConfig] = None,
+    events: Optional[List[BoundEvent]] = None,
 ) -> LatencyBounds:
-    """Bounds of one digest under one concrete layout."""
+    """Bounds of one digest under one concrete layout.
+
+    ``events`` is the digest already bound under ``placements`` at the
+    memory's block size (:func:`bind_digest`), for a caller that bounds
+    one image under several store modes and binds it once.
+    """
     cfg = memory or MemoryConfig()
-    events = bind_digest(digest, placements, block_bytes=cfg.block_size)
+    if events is None:
+        events = bind_digest(digest, placements, block_bytes=cfg.block_size)
     analyzer = BoundsAnalyzer(events, digest.instructions, memory=cfg)
     return analyzer.analyze(stack=stack, config=config)
 

@@ -28,7 +28,7 @@ from repro.datalayout.techniques import DATA_TECHNIQUES, DataTechnique
 from repro.datalayout.transforms import LayoutReport, apply_data_layout
 
 if TYPE_CHECKING:
-    from repro.analysis.bounds import TraceDigest
+    from repro.analysis.bounds import BoundEvent, TraceDigest
     from repro.core.program import Program
     from repro.core.walker import WalkResult
     from repro.harness.configs import Section2Options
@@ -209,15 +209,17 @@ class DatalayoutStudy:
 
 @dataclass(frozen=True)
 class _Image:
-    """One cell's build under one layout transform: transformed, walked
-    and digested once, then measured under every store behaviour that
-    shares the transform."""
+    """One cell's build under one layout transform: transformed, walked,
+    digested and bound once, then measured under every store behaviour
+    that shares the transform (store behaviours share the block size)."""
 
     program: Program
     layout: LayoutReport
     walk: WalkResult
     digest: TraceDigest
     placements: Dict[str, int]
+    #: the digest bound under ``placements`` (``bind_digest``)
+    events: List[BoundEvent]
 
 
 def _image(
@@ -229,10 +231,11 @@ def _image(
     seed: int,
     opts: Optional[Section2Options],
 ) -> _Image:
-    from repro.analysis.bounds import digest_trace
+    from repro.analysis.bounds import bind_digest, digest_trace
     from repro.harness.configs import build_configured_program
     from repro.harness.experiment import Experiment, walk_events
 
+    block_size = technique.memory().block_size
     # a fresh (uncached) build: the transform rewrites instruction lists
     # in place, which must never happen to a shared cached BuildResult
     build = build_configured_program(stack, config, opts)
@@ -240,19 +243,22 @@ def _image(
         build.program,
         pack=technique.pack,
         split=technique.split,
-        block_size=technique.memory().block_size,
+        block_size=block_size,
     )
     exp = Experiment(stack, config, opts, base_seed=seed)
     events, data_env = exp.capture_roundtrip(seed)
     walk = walk_events(build.program, events, data_env, engine)
+    digest = digest_trace(walk.packed, build.program)
+    placements = {
+        name: build.program.address_of(name) for name in build.program.names()
+    }
     return _Image(
         program=build.program,
         layout=layout,
         walk=walk,
-        digest=digest_trace(walk.packed, build.program),
-        placements={
-            name: build.program.address_of(name) for name in build.program.names()
-        },
+        digest=digest,
+        placements=placements,
+        events=bind_digest(digest, placements, block_bytes=block_size),
     )
 
 
@@ -275,7 +281,12 @@ def _measure_cell(
     )
 
     bounds = bounds_from_digest(
-        image.digest, image.placements, stack=stack, config=config, memory=mem
+        image.digest,
+        image.placements,
+        stack=stack,
+        config=config,
+        memory=mem,
+        events=image.events,
     )
 
     cold_stalls = cold.memory.stall_cycles

@@ -8,15 +8,16 @@ a scheme sweep changes every layer consistently.
 
 ``probe_packet`` performs real lookups (through
 :class:`repro.xkernel.map.Map`, so every ``MapStats`` counter is genuine)
-and classifies the packet into a :class:`LayerOutcome` triple the segment
-library turns into trace conds.  The singleton maps (one binding, one
-key ever probed) reach a per-resolve fixed point after their second
-lookup — the cached entry is re-hit (or, with no cache, the one-entry
-bucket is re-walked) with an identical stats delta every time — so from
-then on the tables hand out one cached pre-l4 ``(eth, ip)`` outcome pair
-and only count how often they did; ``stats()`` folds that count times
-each singleton's delta back in before reporting, keeping the counters
-exact.
+and classifies the packet into the variant tuple the segment library
+turns into trace conds: the population, one :class:`LayerOutcome` per
+demux layer, and whether the flow is established.  The singleton maps
+(one binding, one key ever probed) reach a per-resolve fixed point after
+their second lookup — the cached entry is re-hit (or, with no cache, the
+one-entry bucket is re-walked) with an identical stats delta every time
+— so from then on the tables hand out one cached pre-l4 ``(eth, ip)``
+outcome pair and only count how often they did; ``stats()`` folds that
+count times each singleton's delta back in before reporting, keeping the
+counters exact.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ class FlowTables:
         return eth, ip
 
     def probe_packet(
-        self, uid: int
-    ) -> Tuple[LayerOutcome, Optional[LayerOutcome], LayerOutcome]:
-        """Demultiplex one packet: (eth, ip-or-None, l4) outcomes.
+        self, uid: int, established: bool
+    ) -> Tuple[str, LayerOutcome, Optional[LayerOutcome], LayerOutcome, bool]:
+        """Demultiplex one packet into its variant: (population, eth,
+        ip-or-None, l4, established).
 
         Unbound ``uid``s (scan packets, or the first packet racing a
         churned slot) miss every cache and walk their full collision
@@ -167,7 +169,8 @@ class FlowTables:
         chain = last.chain
         if chain > self._cap:
             chain = self._cap
-        return pre[0], pre[1], (last.hit, last.probes, chain)
+        l4_outcome = (last.hit, last.probes, chain)
+        return self.population, pre[0], pre[1], l4_outcome, established
 
     def probe_pre_l4(self) -> PreL4Outcome:
         """Demultiplex a packet that dies before the l4 lookup (a

@@ -7,18 +7,18 @@ delta and exit state — the stream is a walk over a small
 deterministic transition graph: nodes are interned machine states,
 edges are (state, segment) pairs.  Each edge is simulated **once**; from
 then on, feeding that segment in that state costs one edge lookup and
-one edge-count increment.  Totals are accumulated per phase as
-``sum(fire_count x delta)`` per edge, which is exactly what sequential
-simulation would have accumulated; per-segment counts are derived from
-the same edge counts.
+one increment of the packet count the edge's record carries.  Totals are
+accumulated per phase as ``sum(packets x delta)`` per edge, which is
+exactly what sequential simulation would have accumulated; per-segment
+counts are derived from the same edge counts.
 
 This is why a cycle-exact model streams packets at the speed of its
 per-packet Python loop, and why its tables match sequential simulation
 bit for bit: each edge's delta is exact, and the edge counts are a
 function of the spec alone.  The 1M-packet Zipf acceptance cell streams
-~506k packets/s in the benchmark suite's reference seconds (an unloaded
+~633k packets/s in the benchmark suite's reference seconds (an unloaded
 2-vCPU Intel Xeon KVM guest, Python 3.11; median of ten runs of
-``benchmarks/suite/run.py --workload stream-zipf``), and
+``benchmarks/suite/run.py --workload stream-zipf``, seeds 0-9), and
 ``BENCH_traffic.json`` records the wall-clock rate that
 ``benchmarks/bench_traffic.py`` measures on the same cell.
 
@@ -119,9 +119,11 @@ class TransitionStream:
         self._snapshots: Dict[int, tuple] = {}
         # bounded: LRU order of the evictable interned states
         self._state_lru: "OrderedDict[int, None]" = OrderedDict()
-        #: (state_id, seg_id) -> (next_state_id, delta tuple)
+        #: (state_id, seg_id) -> [next_state_id, delta tuple, packets]:
+        #: ``packets`` counts the edge's feeds in the open phase since
+        #: they were last folded into its base totals (see _fold)
         # bounded: LRU-evicted against edge_cap (see _novel_pass)
-        self._edges: "OrderedDict[tuple, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
+        self._edges: "OrderedDict[tuple, list]" = OrderedDict()
         #: reverse indexes so a state eviction can drop its edges
         # bounded: one entry per live interned state (state_cap)
         self._in_edges: Dict[int, Set[tuple]] = {}
@@ -151,14 +153,14 @@ class TransitionStream:
         # bounded: the segment library's variant alphabet
         self._seg_keys: List[Hashable] = []
         #: per-phase accounting: base totals and base segment counts
-        #: absorb evicted (and degraded-mode) passes; live edges stay as
-        #: counts, so the hot path is one Counter increment and segment
-        #: counts derive from edge counts
+        #: absorb evicted edges, closed phases' edge counts and
+        #: degraded-mode passes; the open phase's live edges keep their
+        #: counts in their own records, so the hot path is one in-place
+        #: increment and segment counts derive from edge counts
         # bounded: one entry per phase (warmup/steady)
-        self._phases: Dict[str, Tuple[List[int], Counter, Counter]] = {}
+        self._phases: Dict[str, Tuple[List[int], Counter]] = {}
+        self._open: Optional[str] = None
         self._base: List[int] = [0] * 15
-        # bounded: flushed into _base when its edge is evicted
-        self._ecounts: Counter = Counter()
         # bounded: the segment library's variant alphabet
         self._base_segs: Counter = Counter()
 
@@ -167,12 +169,27 @@ class TransitionStream:
     # ------------------------------------------------------------------ #
 
     def start_phase(self, name: str) -> None:
+        """Close the open phase, folding every live edge's count into its
+        base totals, and open ``name``."""
+        for edge, record in self._edges.items():
+            self._fold(edge, record)
         self._base = [0] * 15
-        # bounded: flushed into _base when its edge is evicted
-        self._ecounts = Counter()
         # bounded: the segment library's variant alphabet
         self._base_segs = Counter()
-        self._phases[name] = (self._base, self._ecounts, self._base_segs)
+        self._phases[name] = (self._base, self._base_segs)
+        self._open = name
+
+    def _fold(self, edge: tuple, record: list) -> None:
+        """Move an edge's outstanding packet count into the open phase's
+        base totals and segment counts."""
+        packets = record[2]
+        if packets:
+            delta = record[1]
+            base = self._base
+            for i in range(15):
+                base[i] += packets * delta[i]
+            self._base_segs[edge[1]] += packets
+            record[2] = 0
 
     # ------------------------------------------------------------------ #
     # streaming                                                          #
@@ -220,25 +237,20 @@ class TransitionStream:
             self._drop_edge(edge)
 
     def _drop_edge(self, edge: tuple) -> None:
-        """Evict one memoized edge, folding its outstanding phase counts
-        into the base totals (exactness survives eviction) and recording
-        its delta for the re-simulation cross-check."""
-        entry = self._edges.pop(edge, None)
-        if entry is None:
+        """Evict one memoized edge, folding its outstanding packet count
+        into the open phase's base totals (exactness survives eviction)
+        and recording its delta for the re-simulation cross-check."""
+        record = self._edges.pop(edge, None)
+        if record is None:
             return
-        next_id, delta = entry
+        next_id, delta, _packets = record
         out = self._out_edges.get(edge[0])
         if out is not None:
             out.discard(edge)
         ins = self._in_edges.get(next_id)
         if ins is not None:
             ins.discard(edge)
-        for base, ecounts, base_segs in self._phases.values():
-            fired = ecounts.pop(edge, 0)
-            if fired:
-                for i in range(15):
-                    base[i] += fired * delta[i]
-                base_segs[edge[1]] += fired
+        self._fold(edge, record)
         self._evicted_deltas[edge] = delta
         if len(self._evicted_deltas) > self._edge_cap:
             self._evicted_deltas.popitem(last=False)
@@ -270,14 +282,13 @@ class TransitionStream:
                     f"edge {(state_id, self._seg_keys[seg])!r} re-simulated to a "
                     f"different delta than recorded at eviction: {prior} != {delta}"
                 )
-        self._edges[edge] = (next_id, delta)
+        self._edges[edge] = [next_id, delta, 1]
         self._out_edges.setdefault(edge[0], set()).add(edge)
         self._in_edges.setdefault(next_id, set()).add(edge)
         while len(self._edges) > self._edge_cap:
             self._drop_edge(next(iter(self._edges)))
         self._cur = self._phys = next_id
         self.novel_passes += 1
-        self._ecounts[edge] += 1
         if self._watchdog_s is not None:
             self._memo_spent += time.perf_counter() - t0
             if self._memo_spent > self._watchdog_s:
@@ -292,8 +303,9 @@ class TransitionStream:
 
         ``packed_fn(key)`` supplies the segment's packed trace, and is
         called only on a novel edge.  A memo hit costs one edge lookup,
-        its LRU touch and one edge-count increment; a self-loop skips the
-        state-LRU touch, because its state already heads that LRU.
+        its LRU touch and one increment of the edge record's count; a
+        self-loop skips the state-LRU touch, because its state already
+        heads that LRU.
         """
         seg = self._seg_ids.get(key)
         if seg is None:
@@ -301,16 +313,16 @@ class TransitionStream:
             self._seg_keys.append(key)
         self.last_seg = seg
         edge = (self._cur, seg)
-        known = self._edges.get(edge)
-        if known is None:
+        record = self._edges.get(edge)
+        if record is None:
             return self._novel_pass(edge, key, packed_fn)
         self._edges.move_to_end(edge)
-        next_id, delta = known
+        record[2] += 1
+        next_id = record[0]
         if next_id != self._cur:
             self._state_lru.move_to_end(next_id)
             self._cur = next_id
-        self._ecounts[edge] += 1
-        return delta
+        return record[1]
 
     # ------------------------------------------------------------------ #
     # accounting                                                         #
@@ -339,23 +351,25 @@ class TransitionStream:
 
     def phase_counters(self, name: str) -> List[int]:
         """The 15-counter total the machine would have accumulated over
-        the phase's segments: base totals (evicted edges, degraded-mode
-        passes) plus fire counts x delta over the live edges."""
-        base, ecounts, _segs = self._phases[name]
+        the phase's segments: base totals (evicted edges, closed phases'
+        folds, degraded-mode passes) plus, for the open phase, packets x
+        delta over the live edges."""
+        base, _segs = self._phases[name]
         totals = list(base)
-        for edge, fired in ecounts.items():
-            delta = self._edges[edge][1]
-            for i in range(15):
-                totals[i] += fired * delta[i]
+        if name == self._open:
+            for _next_id, delta, packets in self._edges.values():
+                for i in range(15):
+                    totals[i] += packets * delta[i]
         return totals
 
     def phase_seg_counts(self, name: str) -> Counter:
         """Fire counts per segment key (for CPU-side aggregation): the
-        base counts of evicted edges and degraded passes plus the live
-        edges' fire counts."""
-        _base, ecounts, base_segs = self._phases[name]
+        base counts plus, for the open phase, the live edges' counts."""
+        _base, base_segs = self._phases[name]
         segs = Counter(base_segs)
-        for (_state, seg), fired in ecounts.items():
-            segs[seg] += fired
+        if name == self._open:
+            for (_state, seg), record in self._edges.items():
+                if record[2]:
+                    segs[seg] += record[2]
         keys = self._seg_keys
         return Counter({keys[seg]: fired for seg, fired in segs.items()})

@@ -315,15 +315,14 @@ def run_traffic_point(
                         if len(populations) == 1
                         else ("rpc" if rng.random() < spec.rpc_fraction else "tcp")
                     )
-                    eth, ip, l4 = tables[pop].probe_packet(next_uid)
+                    variant = tables[pop].probe_packet(next_uid, False)
                     next_uid += 1
-                    established = False
                 else:
                     pop = slot_pop[slot]
-                    eth, ip, l4 = tables[pop].probe_packet(slot_uid[slot])
-                    established = slot_established[slot]
+                    variant = tables[pop].probe_packet(
+                        slot_uid[slot], slot_established[slot]
+                    )
                     slot_established[slot] = True
-                variant = (pop, eth, ip, l4, established)
             else:
                 if slot == SCAN:
                     pop = (
@@ -338,9 +337,8 @@ def run_traffic_point(
                     # a garbled key is a real unknown-key lookup: it misses
                     # every cache and walks the full chain, byte-for-byte
                     # the trace a scan packet already pays — no new segment
-                    eth, ip, l4 = table.probe_packet(next_uid)
+                    variant = table.probe_packet(next_uid, False)
                     next_uid += 1
-                    variant = (pop, eth, ip, l4, False)
                 elif kind == "truncated_header":
                     # the runt check rejects before any demux map is touched
                     ip_outcome = _ABSENT if table.ip is not None else None
@@ -355,8 +353,7 @@ def run_traffic_point(
                     # is of a segment the flow already processed) and the
                     # slot's own establishment is untouched — suppression
                     # is not progress
-                    eth, ip, l4 = table.probe_packet(slot_uid[slot])
-                    variant = (pop, eth, ip, l4, True, kind)
+                    variant = table.probe_packet(slot_uid[slot], True) + (kind,)
                 if fault_counts is not None:
                     fault_counts[kind] += 1
             delta = feed(variant, segment_of)

@@ -116,12 +116,18 @@ class ResolveProbe:
 
 
 class _Entry:
-    __slots__ = ("key", "value", "next")
+    __slots__ = ("key", "value", "next", "bucket", "depth")
 
-    def __init__(self, key: bytes, value: object, next_: Optional["_Entry"]) -> None:
+    def __init__(
+        self, key: bytes, value: object, next_: Optional["_Entry"], bucket: int
+    ) -> None:
         self.key = key
         self.value = value
         self.next = next_
+        #: the bucket whose chain holds the entry, and the links in front
+        #: of it there: kept by bind and unbind, so a resolve never walks
+        self.bucket = bucket
+        self.depth = 0
 
 
 class _Bucket:
@@ -442,9 +448,8 @@ class Map:
         self._mask = num_buckets - 1
         self._chain_head: int = -1
         self.scheme = make_scheme(scheme)
-        #: bound key -> the index of the bucket holding it: recorded by
-        #: bind, dropped by unbind, so resolving a bound key never hashes
-        self._bucket_of: Dict[bytes, int] = {}
+        #: bound key -> its entry (which records its bucket and position)
+        self._entry_of: Dict[bytes, _Entry] = {}
         self.stats = MapStats(scheme=self.scheme.name)
         self.last = ResolveProbe(False, 0, 0, False)
 
@@ -461,12 +466,16 @@ class Map:
 
     def bind(self, key: bytes, value: object) -> None:
         """Install a key -> value binding (duplicate keys rejected)."""
-        if key in self._bucket_of:
+        if key in self._entry_of:
             raise MapError(f"duplicate binding for key {key!r}")
         idx = self._index(key)
         bucket = self._buckets[idx]
-        bucket.head = _Entry(key, value, bucket.head)
-        self._bucket_of[key] = idx
+        # the new entry goes to the head: every other one moves back a link
+        entry = bucket.head
+        while entry is not None:
+            entry.depth += 1
+            entry = entry.next
+        bucket.head = self._entry_of[key] = _Entry(key, value, bucket.head, idx)
         if not bucket.chained:
             bucket.chained = True
             bucket.next_chained = self._chain_head
@@ -475,18 +484,23 @@ class Map:
 
     def unbind(self, key: bytes) -> object:
         """Remove a binding; the bucket stays chained (lazy removal)."""
-        idx = self._bucket_of.pop(key, None)
-        if idx is None:
+        entry = self._entry_of.pop(key, None)
+        if entry is None:
             raise MapError(f"unbind of unbound key {key!r}")
-        bucket = self._buckets[idx]
+        bucket = self._buckets[entry.bucket]
         prev: Optional[_Entry] = None
-        entry = bucket.head
-        while entry.key != key:
-            prev, entry = entry, entry.next
+        cur = bucket.head
+        while cur is not entry:
+            prev, cur = cur, cur.next
         if prev is None:
             bucket.head = entry.next
         else:
             prev.next = entry.next
+        # every entry behind the removed one moves forward a link
+        cur = entry.next
+        while cur is not None:
+            cur.depth -= 1
+            cur = cur.next
         self.stats.unbinds += 1
         if self.scheme.invalidate(key):
             self.stats.invalidations += 1
@@ -501,8 +515,9 @@ class Map:
 
     def resolve_or_none(self, key: bytes) -> Optional[object]:
         """Look up a key, front-end cache first, then its bucket chain;
-        None if it is unbound.  Never raises: ``last`` records the probe,
-        updated in place."""
+        None if it is unbound.  A bound key's chain walk is charged at the
+        position its entry records; an unbound key walks its whole bucket.
+        Never raises: ``last`` records the probe, updated in place."""
         stats = self.stats
         scheme = self.scheme
         last = self.last
@@ -518,8 +533,8 @@ class Map:
             last.found = True
             return cached.value
         last.hit = False
-        idx = self._bucket_of.get(key)
-        if idx is None:
+        entry = self._entry_of.get(key)
+        if entry is None:
             # not found: the walk runs the whole bucket the key hashes to
             chain = 0
             entry = self._buckets[self._index(key)].head
@@ -531,11 +546,7 @@ class Map:
             last.chain = chain
             last.found = False
             return None
-        entry = self._buckets[idx].head
-        chain = 0
-        while entry.key != key:
-            chain += 1
-            entry = entry.next
+        chain = entry.depth
         stats.chain_probes += chain
         stats.installs += 1
         stats.evictions += scheme.install(key, entry)
@@ -600,7 +611,7 @@ class Map:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._bucket_of)
+        return len(self._entry_of)
 
     def __contains__(self, key: bytes) -> bool:
         return self.resolve_or_none(key) is not None

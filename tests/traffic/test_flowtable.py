@@ -26,6 +26,7 @@ OPS = st.lists(
     st.tuples(
         st.sampled_from(["open", "close", "packet", "pre_l4", "stats"]),
         st.integers(min_value=0, max_value=UIDS - 1),
+        st.booleans(),
     ),
     max_size=80,
 )
@@ -75,7 +76,7 @@ def test_stats_match_real_resolves(scheme, population, ops):
     tables = FlowTables(SPEC, scheme, population=population)
     plain = _PlainMaps(scheme, population)
     live = set()
-    for op, uid in ops:
+    for op, uid, established in ops:
         if op == "open" and uid not in live:
             live.add(uid)
             tables.open_flow(uid)
@@ -85,7 +86,8 @@ def test_stats_match_real_resolves(scheme, population, ops):
             tables.close_flow(uid)
             plain.l4.unbind(_key(uid))
         elif op == "packet":
-            assert tables.probe_packet(uid) == plain.probe_packet(uid)
+            expected = (population, *plain.probe_packet(uid), established)
+            assert tables.probe_packet(uid, established) == expected
         elif op == "pre_l4":
             assert tables.probe_pre_l4() == plain.probe_pre_l4()
         elif op == "stats":

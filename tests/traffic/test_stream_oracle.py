@@ -8,6 +8,9 @@ this.  The reference engine, which has no packed-segment pass, is
 refused.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.arch.fastsim import FastMachine
@@ -86,6 +89,36 @@ class TestMemoizationIsExact:
         _, at_5 = _streamed(FastMachine(), library, scheme, sequence, 5)
         _, at_37 = _streamed(FastMachine(), library, scheme, sequence, 37)
         assert at_5 == at_37
+
+
+class TestPhasesUnderEviction:
+    @pytest.mark.parametrize("split", [0, 1, 2, 17, 40, 79])
+    def test_each_phase_equals_its_sequential_passes(self, library, split):
+        """Caps so tiny that edges and states are evicted in both phases:
+        each phase's counters and segment counts equal the sums of the
+        sequential passes it holds, on one persistent machine."""
+        scheme = make_scheme("one-entry")
+        rng = random.Random(5)
+        sequence = [rng.choice(VARIANTS) for _ in range(80)]
+        machine = FastMachine()
+        expected = {"warmup": ([0] * 15, Counter()), "steady": ([0] * 15, Counter())}
+        for i, variant in enumerate(sequence):
+            totals, segs = expected["warmup" if i < split else "steady"]
+            delta = machine.mem_delta(library.segment(variant, scheme)[0])
+            for j in range(15):
+                totals[j] += delta[j]
+            segs[variant] += 1
+
+        stream = TransitionStream(FastMachine(), state_cap=2, edge_cap=2)
+        stream.start_phase("warmup")
+        for i, variant in enumerate(sequence):
+            if i == split:
+                stream.start_phase("steady")
+            stream.feed(variant, lambda v: library.segment(v, scheme)[0])
+        assert stream.edge_evictions > 0 and stream.state_evictions > 0
+        for phase, (totals, segs) in expected.items():
+            assert stream.phase_counters(phase) == totals
+            assert dict(stream.phase_seg_counts(phase)) == dict(segs)
 
 
 class TestCrossEngine:

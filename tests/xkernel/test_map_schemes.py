@@ -10,7 +10,7 @@ accounting identities hold over arbitrary bind/unbind/resolve sequences.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.xkernel.map import (
@@ -41,13 +41,17 @@ def _stats_dict(m: Map) -> dict:
 class TestSchemeAgreementUnderChurn:
     @settings(max_examples=80, deadline=None)
     @given(OPS)
+    # every key of KEYS hashes to one bucket of 8: key 0 moves back a link
+    # on each bind and forward when key 1, in front of it, is unbound
+    @example([("bind", 0), ("bind", 1), ("bind", 2), ("unbind", 1), ("resolve", 0)])
     def test_all_schemes_agree_with_the_model(self, ops):
         """Every scheme resolves exactly the model's bindings, and the
         stats identities hold: resolves = hits + installs + not-found,
         evictions <= installs, invalidations <= unbinds.  A cache miss
         walks exactly ``bucket_depth`` links, a failed ``resolve`` raises
         with ``last.found`` false, and after every op each bound key's
-        recorded bucket index is its hash's."""
+        entry records its hash's bucket and its position in that bucket's
+        chain."""
         maps = {spec: Map(8, scheme=spec) for spec in SCHEME_SPECS}
         model = {}
         serial = 0
@@ -106,7 +110,10 @@ class TestSchemeAgreementUnderChurn:
                         assert m.last.hit == predicted
             for m in maps.values():
                 mask = m.num_buckets - 1
-                assert m._bucket_of == {b: fnv32(b) & mask for b in model}
+                assert set(m._entry_of) == set(model)
+                for b, entry in m._entry_of.items():
+                    assert entry.bucket == fnv32(b) & mask
+                    assert entry.depth == m.bucket_depth(b)
 
         for spec, m in maps.items():
             s = m.stats
