@@ -34,6 +34,7 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.api import DatalayoutSpec  # noqa: E402
 from repro.datalayout import run_datalayout_study  # noqa: E402
 
 #: the perf-ledger gate rules (``benchmarks/check_perf_trend.py``)
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
-    study = run_datalayout_study(engine=args.engine, seed=args.seed)
+    study = run_datalayout_study(DatalayoutSpec(seed=args.seed), engine=args.engine)
     elapsed = time.perf_counter() - t0
 
     problems = study.check()

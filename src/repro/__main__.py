@@ -21,65 +21,145 @@ Subcommands::
                                                # faulted streams under load
     python -m repro datalayout                 # data-techniques grid study
 
-Every subcommand resolves its engine and chaos environment once, through
-:class:`repro.api.Settings`, and runs through the :mod:`repro.api` facade.
+Every subcommand fills one :mod:`repro.api` spec from the flags typed and
+runs it through the facade; a flag left unset takes the spec's default.
+The engine and chaos environment are resolved once, through
+:class:`repro.api.Settings`.  Every subcommand exits 0 when its result is
+clean, 1 when the result's ``check()`` has findings (each printed to
+stderr as ``CHECK FAIL: ...``), and 2 on a usage error, a bad value
+included, or when the analyzer itself crashes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
 from repro.api.settings import ENGINES
+from repro.api.spec import SPEC_CONFIGS, SPEC_STACKS
+
+#: help of the stream verbs' ``stack`` positional
+_POPULATION = ("traffic population ('mixed' interleaves TCP and RPC flows "
+               "on one machine)")
 
 
-def _write_json(doc, path: str) -> None:
-    """Write ``doc`` as indented JSON to ``path`` ('-' for stdout)."""
-    payload = json.dumps(doc, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w") as fh:
-            fh.write(payload)
+def _parser(verb, description, *, engine_help, stacks=(),
+            configs=SPEC_CONFIGS, stack_help=None, engines=ENGINES,
+            seed_help=None, json_help=None):
+    """One verb's parser, with the arguments every verb shares.
+
+    No argument has a default: a flag left unset is absent from the
+    parsed namespace, so the spec it would fill keeps its own default.
+    """
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro {verb}".rstrip(), description=description,
+        argument_default=argparse.SUPPRESS,
+    )
+    if stacks:
+        parser.add_argument("stack", choices=list(stacks), help=stack_help)
+        parser.add_argument("config", choices=list(configs))
+    parser.add_argument("--engine", choices=list(engines), help=engine_help)
+    if seed_help is not None:
+        parser.add_argument("--seed", type=int, help=seed_help)
+    if json_help is not None:
+        parser.add_argument("--json", metavar="PATH", help=json_help)
+    return parser
+
+
+def _stream_flags(parser, mixes) -> None:
+    """The stream flags ``traffic`` and ``resilience`` share."""
+    parser.add_argument("--packets", type=int,
+                        help="packets per sweep point (default: 1000000)")
+    parser.add_argument("--mixes", nargs="+", choices=list(mixes),
+                        help="arrival mixes to sweep (default: zipf)")
+    parser.add_argument("--warmup", type=int, dest="warmup_packets",
+                        help="packets excluded from the steady window")
+    parser.add_argument("--churn", type=float,
+                        help="per-packet connection-replacement "
+                             "probability")
+
+
+def _typed(flags, *names):
+    """The typed flags among ``names``."""
+    return {name: flags[name] for name in names if name in flags}
+
+
+def _fill(parser, cls, flags, **given):
+    """A ``cls`` spec from the typed flags named like its fields.
+
+    ``given`` wins over a flag of the same name.  A ``ValueError`` the
+    spec raises while it is built or validated is a usage error:
+    ``parser.error`` prints it and exits 2.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = {name: tuple(v) if isinstance(v, list) else v
+              for name, v in _typed(flags, *names).items()}
+    try:
+        spec = cls(**{**values, **given})
+        if hasattr(spec, "validate"):
+            spec.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return spec
+
+
+def _finish(result, flags, text=None, problems=()) -> int:
+    """The one exit rule: write the JSON, print the text, gate on checks.
+
+    ``result.to_json()`` goes to the ``--json`` path ('-' is stdout, which
+    then carries nothing else), ``text`` (default: ``result.render()``)
+    to stdout, and each finding of ``result.check()`` and ``problems`` to
+    stderr as ``CHECK FAIL: ...``.  Returns 1 if there were any, else 0.
+    """
+    path = flags.get("json")
+    if path is not None:
+        payload = json.dumps(result.to_json(), indent=2) + "\n"
+        if path == "-":
+            sys.stdout.write(payload)
+        else:
+            with open(path, "w") as fh:
+                fh.write(payload)
+    if path != "-":
+        print(result.render() if text is None else text)
+    found = [*result.check(), *problems]
+    for problem in found:
+        print(f"CHECK FAIL: {problem}", file=sys.stderr)
+    return 1 if found else 0
+
+
+class _Cells(list):
+    """``analyze``'s cells as one result: a JSON list and every finding."""
+
+    def to_json(self):
+        return [cell.to_json() for cell in self]
+
+    def check(self):
+        return [problem for cell in self for problem in cell.check()]
 
 
 def profile_main(argv=None) -> int:
     """``python -m repro profile``: attribute one cell's stall cycles."""
-    from repro.harness.configs import CONFIG_NAMES, STACKS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Attribute every memory stall cycle of one "
-                    "(stack, configuration) cell to (layer, function, "
-                    "cache, miss kind), and show the i-cache conflict "
-                    "matrix.",
+    parser = _parser(
+        "profile",
+        "Attribute every memory stall cycle of one (stack, configuration) "
+        "cell to (layer, function, cache, miss kind), and show the i-cache "
+        "conflict matrix.",
+        stacks=SPEC_STACKS,
+        engine_help="simulation engine (default: $REPRO_SIM_ENGINE or fast)",
+        seed_help="allocator jitter seed of the traced sample",
+        json_help="also write the full report as JSON ('-' for stdout)",
     )
-    parser.add_argument("stack", choices=list(STACKS))
-    parser.add_argument("config", choices=list(CONFIG_NAMES))
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulation engine (default: $REPRO_SIM_ENGINE "
-                             "or fast)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="allocator jitter seed of the traced sample")
-    parser.add_argument("--top", type=int, default=12,
+    parser.add_argument("--top", type=int,
                         help="rows in the function/conflict listings")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the full report as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
 
-    cell = api.profile(api.ProfileSpec(args.stack, args.config,
-                                       engine=args.engine, seed=args.seed))
-
-    if args.json is not None:
-        _write_json(cell.to_json(), args.json)
-    if args.json != "-":
-        print(cell.render(top=args.top))
-    return 0
+    cell = api.profile(_fill(parser, api.ProfileSpec, flags))
+    return _finish(cell, flags, cell.render(**_typed(flags, "top")))
 
 
 def analyze_main(argv=None) -> int:
@@ -90,27 +170,25 @@ def analyze_main(argv=None) -> int:
     analyzer itself failed — so CI and scripts can tell "found issues"
     from "analyzer crashed".
     """
-    from repro.harness.configs import CONFIG_NAMES, STACKS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro analyze",
-        description="Static analysis of one (stack, configuration) cell: "
-                    "IR well-formedness after every build stage, "
-                    "transformation-equivalence proofs, a static i-cache "
-                    "conflict prediction cross-validated against the "
-                    "simulated eviction matrix, and (with --bounds) sound "
-                    "abstract-interpretation latency bounds checked "
-                    "against the measuring engine.  Exit codes: 0 clean, "
-                    "1 findings, 2 internal error.",
+    parser = _parser(
+        "analyze",
+        "Static analysis of one (stack, configuration) cell: IR "
+        "well-formedness after every build stage, transformation-"
+        "equivalence proofs, a static i-cache conflict prediction "
+        "cross-validated against the simulated eviction matrix, and (with "
+        "--bounds) sound abstract-interpretation latency bounds checked "
+        "against the measuring engine.  Exit codes: 0 clean, 1 findings, "
+        "2 internal error.",
+        stacks=SPEC_STACKS + ("all",),
+        configs=SPEC_CONFIGS + ("all",),
+        engine_help="engine for the simulated cross-validations "
+                    "(default: $REPRO_SIM_ENGINE or fast)",
+        seed_help="allocator jitter seed of the validated sample",
+        json_help="write the structured per-cell reports as JSON "
+                  "('-' for stdout)",
     )
-    parser.add_argument("stack", choices=list(STACKS) + ["all"])
-    parser.add_argument("config", choices=list(CONFIG_NAMES) + ["all"])
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="engine for the simulated cross-validations "
-                             "(default: $REPRO_SIM_ENGINE or fast)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="allocator jitter seed of the validated sample")
-    parser.add_argument("--static-only", action="store_true",
+    parser.add_argument("--static-only", action="store_false",
+                        dest="check_conflicts",
                         help="skip the simulated conflict cross-validation "
                              "(no sample is traced; purely static checks)")
     parser.add_argument("--bounds", action="store_true",
@@ -119,415 +197,271 @@ def analyze_main(argv=None) -> int:
                              "against the selected engine")
     parser.add_argument("--show-prediction", action="store_true",
                         help="print the predicted conflict pairs per cell")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the structured per-cell reports as "
-                             "JSON ('-' for stdout)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
     from repro.analysis import render_prediction
 
-    stacks = list(STACKS) if args.stack == "all" else [args.stack]
-    configs = list(CONFIG_NAMES) if args.config == "all" else [args.config]
-    failures = 0
-    reports = []
+    stacks = SPEC_STACKS if flags["stack"] == "all" else (flags["stack"],)
+    configs = SPEC_CONFIGS if flags["config"] == "all" else (flags["config"],)
+    specs = [_fill(parser, api.AnalyzeSpec, flags,
+                   run=_fill(parser, api.RunSpec, flags, stack=s, config=c))
+             for s in stacks for c in configs]
+    cells, text = _Cells(), []
     try:
-        for stack in stacks:
-            for config in configs:
-                cell = api.analyze(api.AnalyzeSpec(
-                    run=api.RunSpec(stack, config, seed=args.seed,
-                                    engine=args.engine),
-                    check_conflicts=not args.static_only,
-                    bounds=args.bounds,
-                ))
-                reports.append(cell)
-                if args.json != "-":
-                    print(cell.render())
-                    if args.bounds and cell.bounds is not None:
-                        print(cell.bounds.render())
-                    if args.show_prediction and cell.prediction is not None:
-                        print(render_prediction(cell.prediction))
-                if not cell.ok:
-                    failures += len(cell.findings)
+        for spec in specs:
+            cell = api.analyze(spec)
+            cells.append(cell)
+            text.append(cell.render())
+            if cell.bounds is not None:
+                text.append(cell.bounds.render())
+            if "show_prediction" in flags and cell.prediction is not None:
+                text.append(render_prediction(cell.prediction))
     except Exception as exc:  # noqa: BLE001 - the CLI's crash boundary
         print(f"ANALYZER ERROR: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-
-    if args.json is not None:
-        _write_json([r.to_json() for r in reports], args.json)
-
-    if failures:
-        if args.json != "-":
-            print(f"FAIL: {failures} finding(s) across "
-                  f"{len(stacks) * len(configs)} cell(s)", file=sys.stderr)
-        return 1
-    if args.json != "-":
-        print(f"OK: {len(stacks) * len(configs)} cell(s) clean")
-    return 0
+    if not cells.check():
+        text.append(f"OK: {len(cells)} cell(s) clean")
+    return _finish(cells, flags, "\n".join(text))
 
 
 def faults_main(argv=None) -> int:
     """``python -m repro faults``: price the error paths of one stack."""
     from repro.faults.plan import FAULT_KINDS
-    from repro.harness.configs import CONFIG_NAMES, STACKS
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="Inject seeded workload faults (corrupted checksums, "
-                    "truncated headers, demux-cache misses, dropped and "
-                    "duplicated packets) into the modeled test programs "
-                    "and report the per-configuration processing-time and "
-                    "mCPI penalty against a fault-free sweep.",
+    parser = _parser(
+        "faults",
+        "Inject seeded workload faults (corrupted checksums, truncated "
+        "headers, demux-cache misses, dropped and duplicated packets) into "
+        "the modeled test programs and report the per-configuration "
+        "processing-time and mCPI penalty against a fault-free sweep.",
+        stacks=SPEC_STACKS,
+        configs=SPEC_CONFIGS + ("all",),
+        engine_help="simulation engine (default: $REPRO_SIM_ENGINE or fast)",
+        seed_help="fault plan seed (injection sites; the allocator jitter "
+                  "seeds are unchanged)",
+        json_help="also write the table as JSON ('-' for stdout)",
     )
-    parser.add_argument("stack", choices=list(STACKS))
-    parser.add_argument("config", choices=list(CONFIG_NAMES) + ["all"])
     parser.add_argument("--rate", type=float, required=True,
                         help="per-opportunity injection probability in "
                              "[0, 1]")
     parser.add_argument("--kinds", nargs="*", choices=list(FAULT_KINDS),
-                        default=None,
                         help="restrict the fault taxonomy (default: all)")
-    parser.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", type=int,
                         help="samples per configuration (default: the "
                              "paper's 10 for TCP/IP, 5 for RPC)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="fault plan seed (injection sites; the "
-                             "allocator jitter seeds are unchanged)")
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulation engine (default: $REPRO_SIM_ENGINE "
-                             "or fast)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the table as JSON ('-' for stdout)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
 
-    configs = (tuple(CONFIG_NAMES) if args.config == "all"
-               else (args.config,))
-    kinds = tuple(args.kinds) if args.kinds else None
-    study = api.faults(api.FaultsSpec(
-        args.stack, configs=configs, rate=args.rate, kinds=kinds,
-        samples=args.samples, seed=args.seed, engine=args.engine,
-    ))
-
-    if args.json is not None:
-        _write_json(study.to_json(), args.json)
-        if args.json == "-":
-            return 0
-    print(study.render())
-    return 1 if study.check() else 0
+    if flags.get("kinds") == []:
+        del flags["kinds"]  # a bare --kinds means every kind, as unset does
+    configs = SPEC_CONFIGS if flags["config"] == "all" else (flags["config"],)
+    spec = _fill(parser, api.FaultsSpec, flags, configs=configs)
+    return _finish(api.faults(spec), flags)
 
 
 def search_main(argv=None) -> int:
     """``python -m repro search``: profile-guided layout search of one cell."""
-    from repro.harness.configs import CONFIG_NAMES, STACKS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro search",
-        description="Search for a better code layout of one (stack, "
-                    "configuration) cell: candidate generators (conflict-"
-                    "graph placer, call-affinity ordering, local-search "
-                    "mutation) feed a statically-prefiltered, simulation-"
-                    "scored loop.  Reports the best layout found against "
-                    "the paper's baselines and can emit it as a "
-                    "replayable JSON artifact.",
+    parser = _parser(
+        "search",
+        "Search for a better code layout of one (stack, configuration) "
+        "cell: candidate generators (conflict-graph placer, call-affinity "
+        "ordering, local-search mutation) feed a statically-prefiltered, "
+        "simulation-scored loop.  Reports the best layout found against "
+        "the paper's baselines and can emit it as a replayable JSON "
+        "artifact.",
+        stacks=SPEC_STACKS,
+        engine_help="scoring engine (default: $REPRO_SIM_ENGINE or fast; scores "
+                    "are bit-identical either way)",
+        seed_help="search seed (drives every random choice)",
+        json_help="write the full search report as JSON ('-' for stdout)",
     )
-    parser.add_argument("stack", choices=list(STACKS))
-    parser.add_argument("config", choices=list(CONFIG_NAMES))
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=int,
                         help="candidate simulations to spend (default: 64)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="search seed (drives every random choice)")
-    parser.add_argument("--base-seed", type=int, default=42,
+    parser.add_argument("--base-seed", type=int,
                         help="allocator jitter seed of the scored sample")
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="scoring engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; scores are bit-identical either way)")
     parser.add_argument("--parallel", action="store_true",
                         help="score candidate batches on the process pool")
     parser.add_argument("--micro", action="store_true",
+                        dest="micro_baseline",
                         help="also score the paper's micro-positioned "
                              "layout as a baseline (slower)")
-    parser.add_argument("--out", metavar="PATH", default=None,
+    parser.add_argument("--out", metavar="PATH",
                         help="write the winning layout artifact as JSON")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the full search report as JSON "
-                             "('-' for stdout)")
-    parser.add_argument("--check", metavar="PATH", default=None,
+    parser.add_argument("--check", metavar="PATH",
                         help="compare against a recorded artifact: exit "
                              "nonzero unless this search reproduces its "
                              "best score bit-for-bit")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
-    from repro.search import DEFAULT_BUDGET, LayoutArtifact
+    from repro.search import LayoutArtifact
 
-    settings = api.Settings.from_env(engine=args.engine)
-    result = api.search(api.SearchSpec(
-        run=api.RunSpec(args.stack, args.config, seed=args.base_seed,
-                        engine=settings.engine),
-        budget=args.budget, seed=args.seed, parallel=args.parallel,
-        micro_baseline=args.micro,
-    ), settings=settings)
+    base_seed = {"seed": flags["base_seed"]} if "base_seed" in flags else {}
+    run = _fill(parser, api.RunSpec, _typed(flags, "stack", "config", "engine"),
+                **base_seed)
+    spec = _fill(parser, api.SearchSpec, flags, run=run)
+    result = api.search(spec)
 
-    if args.out is not None:
-        result.artifact.save(args.out)
-    if args.json is not None:
-        _write_json(result.to_json(), args.json)
-    if args.json != "-":
-        print(result.summary())
-
-    if args.check is not None:
-        recorded = LayoutArtifact.load(args.check)
-        budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-        problems = []
-        if (recorded.stack, recorded.config) != (args.stack, args.config):
+    if "out" in flags:
+        result.artifact.save(flags["out"])
+    text, problems = result.render(), []
+    if "check" in flags:
+        recorded = LayoutArtifact.load(flags["check"])
+        if (recorded.stack, recorded.config) != (run.stack, run.config):
             problems.append(
                 f"recorded artifact is for ({recorded.stack}, "
-                f"{recorded.config}), not ({args.stack}, {args.config})")
-        if (recorded.seed, recorded.budget) != (args.seed, budget):
+                f"{recorded.config}), not ({run.stack}, {run.config})")
+        if (recorded.seed, recorded.budget) != (spec.seed, spec.budget):
             problems.append(
                 f"recorded (seed, budget) = ({recorded.seed}, "
-                f"{recorded.budget}) != ({args.seed}, {budget})")
+                f"{recorded.budget}) != ({spec.seed}, {spec.budget})")
         if recorded.score != result.artifact.score:
             problems.append(
                 f"best score drifted: recorded {recorded.score} != "
                 f"found {result.artifact.score}")
         if recorded.placements != result.artifact.placements:
             problems.append("winning placements drifted")
-        if problems:
-            for p in problems:
-                print(f"CHECK FAIL: {p}", file=sys.stderr)
-            return 1
-        print(f"check OK: reproduces {args.check} bit-for-bit")
-    return 0
+        if not problems:
+            text += f"\ncheck OK: reproduces {flags['check']} bit-for-bit"
+    return _finish(result, flags, text, problems)
 
 
 def traffic_main(argv=None) -> int:
     """``python -m repro traffic``: million-flow demux-cache study."""
-    from repro.harness.configs import CONFIG_NAMES
     from repro.traffic import MIXES, STACKS, TrafficSpec
-    from repro.xkernel.map import SCHEME_SPECS
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro traffic",
-        description="Stream a synthetic packet mix (Zipf/uniform/bursty/"
-                    "scan arrivals, connection churn, optional mixed "
-                    "TCP+RPC populations) through one configuration's "
-                    "demux path and sweep the flow-map caching scheme, "
-                    "reporting per-scheme hit rates and steady-state "
-                    "mCPI as a paper-style table.",
+    parser = _parser(
+        "traffic",
+        "Stream a synthetic packet mix (Zipf/uniform/bursty/scan arrivals, "
+        "connection churn, optional mixed TCP+RPC populations) through one "
+        "configuration's demux path and sweep the flow-map caching scheme, "
+        "reporting per-scheme hit rates and steady-state mCPI as a "
+        "paper-style table.",
+        stacks=STACKS,
+        stack_help=_POPULATION,
+        engines=("fast",),
+        engine_help="streaming engine (default: $REPRO_SIM_ENGINE or fast; "
+                    "tables are bit-identical across engines, and the reference "
+                    "engine has no packed-segment pass)",
+        seed_help="arrival/churn stream seed",
+        json_help="also write the full study as JSON ('-' for stdout)",
     )
-    parser.add_argument("stack", choices=list(STACKS),
-                        help="traffic population ('mixed' interleaves "
-                             "TCP and RPC flows on one machine)")
-    parser.add_argument("config", choices=list(CONFIG_NAMES))
-    parser.add_argument("--packets", type=int, default=1_000_000,
-                        help="packets per sweep point (default: 1000000)")
-    parser.add_argument("--flows", type=int, nargs="+", default=[10_000],
+    _stream_flags(parser, MIXES)
+    parser.add_argument("--flows", type=int, nargs="+", dest="flow_counts",
                         help="concurrent-flow counts to sweep "
                              "(default: 10000)")
-    parser.add_argument("--mixes", nargs="+", choices=list(MIXES),
-                        default=None,
-                        help="arrival mixes to sweep (default: zipf)")
-    parser.add_argument("--schemes", nargs="+", default=list(SCHEME_SPECS),
+    parser.add_argument("--schemes", nargs="+",
                         help="flow-map caching schemes: none, one-entry, "
                              "lru:K, direct:N, assoc:SxW "
                              "(default: the full taxonomy)")
-    parser.add_argument("--engine", choices=["fast"],
-                        default=None,
-                        help="streaming engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; tables are bit-identical across "
-                             "engines, and the reference engine has no "
-                             "packed-segment pass)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="arrival/churn stream seed")
-    parser.add_argument("--warmup", type=int, default=10_000,
-                        help="packets excluded from the steady window")
-    parser.add_argument("--churn", type=float, default=0.0,
-                        help="per-packet connection-replacement "
-                             "probability")
-    parser.add_argument("--scan-fraction", type=float, default=0.5,
+    parser.add_argument("--scan-fraction", type=float,
                         help="never-bound-key fraction of the scan mix")
-    parser.add_argument("--rpc-fraction", type=float, default=0.25,
+    parser.add_argument("--rpc-fraction", type=float,
                         help="RPC share of the mixed population")
-    parser.add_argument("--zipf-s", type=float, default=1.1,
+    parser.add_argument("--zipf-s", type=float,
                         help="Zipf skew of the flow popularity ranking")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the full study as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
 
-    settings = api.Settings.from_env(engine=args.engine)
-    stream = TrafficSpec(
-        stack=args.stack, config=args.config, packets=args.packets,
-        flows=args.flows[0], zipf_s=args.zipf_s, churn=args.churn,
-        scan_fraction=args.scan_fraction, rpc_fraction=args.rpc_fraction,
-        seed=args.seed, warmup_packets=args.warmup,
-    )
-    study = api.traffic(api.TrafficStudySpec(
-        traffic=stream, schemes=tuple(args.schemes),
-        mixes=tuple(args.mixes) if args.mixes else None,
-        flow_counts=tuple(args.flows),
-    ), settings=settings)
-    if args.json is not None:
-        _write_json(study.to_json(), args.json)
-    if args.json != "-":
-        print(study.render())
-    return 0
+    # the stream itself carries the first flow count of the sweep
+    first = {"flows": flags["flow_counts"][0]} if "flow_counts" in flags else {}
+    stream = _fill(parser, TrafficSpec, flags, **first)
+    spec = _fill(parser, api.TrafficStudySpec, flags, traffic=stream)
+    return _finish(api.traffic(spec), flags)
 
 
 def resilience_main(argv=None) -> int:
     """``python -m repro resilience``: faulted streams under offered load."""
-    from repro.harness.configs import CONFIG_NAMES
     from repro.resilience import POLICIES, SCOPES, OverloadSpec
-    from repro.resilience.queueing import DEFAULT_LOADS
     from repro.traffic import MIXES, STACKS, TrafficSpec
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro resilience",
-        description="Stream faulted traffic (corrupted checksums, "
-                    "truncated headers, bad demux keys, duplicated "
-                    "packets at seeded per-packet rates) through one "
-                    "configuration's demux path, layer a bounded ingress "
-                    "queue over the per-packet service cycles, and sweep "
-                    "scheme x mix x fault rate, reporting offered-load vs "
-                    "p50/p99/p999 sojourn latency with drop accounting "
-                    "and saturation detection.",
+    parser = _parser(
+        "resilience",
+        "Stream faulted traffic (corrupted checksums, truncated headers, "
+        "bad demux keys, duplicated packets at seeded per-packet rates) "
+        "through one configuration's demux path, layer a bounded ingress "
+        "queue over the per-packet service cycles, and sweep scheme x mix x "
+        "fault rate, reporting offered-load vs p50/p99/p999 sojourn latency "
+        "with drop accounting and saturation detection.",
+        stacks=STACKS,
+        stack_help=_POPULATION,
+        engines=("fast",),
+        engine_help="streaming engine (default: $REPRO_SIM_ENGINE or fast; "
+                    "studies are bit-identical across engines, and the reference "
+                    "engine has no packed-segment pass)",
+        seed_help="arrival/churn stream seed",
+        json_help="also write the full study as JSON ('-' for stdout)",
     )
-    parser.add_argument("stack", choices=list(STACKS),
-                        help="traffic population ('mixed' interleaves "
-                             "TCP and RPC flows on one machine)")
-    parser.add_argument("config", choices=list(CONFIG_NAMES))
-    parser.add_argument("--packets", type=int, default=1_000_000,
-                        help="packets per sweep point (default: 1000000)")
-    parser.add_argument("--flows", type=int, default=10_000,
+    _stream_flags(parser, MIXES)
+    parser.add_argument("--flows", type=int,
                         help="concurrent flows (default: 10000)")
-    parser.add_argument("--mixes", nargs="+", choices=list(MIXES),
-                        default=None,
-                        help="arrival mixes to sweep (default: zipf)")
     parser.add_argument("--schemes", nargs="+",
-                        default=["one-entry", "lru:4"],
                         help="flow-map caching schemes: none, one-entry, "
                              "lru:K, direct:N, assoc:SxW "
                              "(default: one-entry lru:4)")
     parser.add_argument("--fault-rates", type=float, nargs="+",
-                        default=[0.0, 0.01],
                         help="total per-packet fault rates to sweep, each "
                              "spread uniformly over the receive-side "
                              "kinds (default: 0.0 0.01)")
-    parser.add_argument("--scope", choices=list(SCOPES), default="all",
+    parser.add_argument("--scope", choices=list(SCOPES),
                         help="which flows faults may hit (default: all)")
-    parser.add_argument("--profile-seed", type=int, default=0,
+    parser.add_argument("--profile-seed", type=int,
                         help="fault-arrival seed (the traffic spec's "
                              "arrival/churn seed is unchanged)")
     parser.add_argument("--loads", type=int, nargs="+",
-                        default=list(DEFAULT_LOADS),
                         help="offered-load points, percent of the "
                              "stream's service capacity "
                              "(default: 60 80 90 100 110 130)")
-    parser.add_argument("--queue-capacity", type=int, default=64,
+    parser.add_argument("--queue-capacity", type=int,
                         help="max packets in system under drop-tail")
     parser.add_argument("--policy", choices=list(POLICIES),
-                        default="drop-tail",
                         help="ingress admission policy")
-    parser.add_argument("--engine", choices=["fast"],
-                        default=None,
-                        help="streaming engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; studies are bit-identical across "
-                             "engines, and the reference engine has no "
-                             "packed-segment pass)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="arrival/churn stream seed")
-    parser.add_argument("--warmup", type=int, default=10_000,
-                        help="packets excluded from the steady window")
-    parser.add_argument("--churn", type=float, default=0.0,
-                        help="per-packet connection-replacement "
-                             "probability")
     parser.add_argument("--parallel", action="store_true",
                         help="run grid cells on the self-healing pool")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the full study as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
 
-    settings = api.Settings.from_env(engine=args.engine)
-    stream = TrafficSpec(
-        stack=args.stack, config=args.config, packets=args.packets,
-        flows=args.flows, churn=args.churn, seed=args.seed,
-        warmup_packets=args.warmup,
-    )
-    overload = OverloadSpec(
-        loads=tuple(args.loads), queue_capacity=args.queue_capacity,
-        policy=args.policy,
-    )
-    study = api.resilience(api.ResilienceStudySpec(
-        traffic=stream, schemes=tuple(args.schemes),
-        mixes=tuple(args.mixes) if args.mixes else None,
-        fault_rates=tuple(args.fault_rates),
-        profile_seed=args.profile_seed, scope=args.scope,
-        overload=overload, parallel=args.parallel,
-    ), settings=settings)
-    if args.json is not None:
-        _write_json(study.to_json(), args.json)
-    if args.json != "-":
-        print(study.render())
-    return 1 if study.check() else 0
+    stream = _fill(parser, TrafficSpec, flags)
+    # an overload nobody typed stays unset, the spec's default
+    if flags.keys() & {"loads", "queue_capacity", "policy"}:
+        flags["overload"] = _fill(parser, OverloadSpec, flags)
+    spec = _fill(parser, api.ResilienceStudySpec, flags, traffic=stream)
+    return _finish(api.resilience(spec), flags)
 
 
 def datalayout_main(argv=None) -> int:
     """``python -m repro datalayout``: the data-techniques grid study."""
-    from repro.api.spec import SPEC_CONFIGS, SPEC_STACKS
     from repro.datalayout import TECHNIQUE_NAMES
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro datalayout",
-        description="Measure the data-side techniques (store coalescing, "
-                    "non-allocating writes, field packing, hot/cold "
-                    "splitting) over the paper's 12 (stack, configuration) "
-                    "cells, attributing the write-buffer and d-cache "
-                    "stalls and bracketing every cell with static bounds "
-                    "under the same store behaviour.",
+    parser = _parser(
+        "datalayout",
+        "Measure the data-side techniques (store coalescing, non-allocating "
+        "writes, field packing, hot/cold splitting) over the paper's 12 "
+        "(stack, configuration) cells, attributing the write-buffer and "
+        "d-cache stalls and bracketing every cell with static bounds under "
+        "the same store behaviour.",
+        engine_help="simulation engine (default: $REPRO_SIM_ENGINE or fast; "
+                    "tables are bit-identical across engines)",
+        seed_help="allocator jitter seed of the traced samples",
+        json_help="also write the full grid as JSON ('-' for stdout)",
     )
     parser.add_argument("--techniques", nargs="+",
-                        choices=list(TECHNIQUE_NAMES), default=None,
+                        choices=list(TECHNIQUE_NAMES),
                         help="data techniques to measure (default: all; "
                              "baseline is always included)")
-    parser.add_argument("--stacks", nargs="+", choices=list(SPEC_STACKS),
-                        default=list(SPEC_STACKS))
-    parser.add_argument("--configs", nargs="+", choices=list(SPEC_CONFIGS),
-                        default=list(SPEC_CONFIGS))
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulation engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; tables are bit-identical across "
-                             "engines)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="allocator jitter seed of the traced samples")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the full grid as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
+    parser.add_argument("--stacks", nargs="+", choices=list(SPEC_STACKS))
+    parser.add_argument("--configs", nargs="+", choices=list(SPEC_CONFIGS))
+    flags = vars(parser.parse_args(argv))
 
     from repro import api
 
-    study = api.datalayout(api.DatalayoutSpec(
-        techniques=tuple(args.techniques) if args.techniques else None,
-        stacks=tuple(args.stacks), configs=tuple(args.configs),
-        seed=args.seed, engine=args.engine,
-    ))
-    if args.json is not None:
-        _write_json(study.to_json(), args.json)
-    if args.json != "-":
-        print(study.render())
-    problems = study.check()
-    for p in problems:
-        print(f"CHECK FAIL: {p}", file=sys.stderr)
-    return 1 if problems else 0
+    return _finish(api.datalayout(_fill(parser, api.DatalayoutSpec, flags)),
+                   flags)
 
 
 #: CLI subcommand -> entry point; mirrors repro.api.FACADE_VERBS minus
@@ -549,25 +483,24 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the tables of TR 96-03 from the "
-                    "reproduction's simulated testbed.",
+    parser = _parser(
+        "",
+        "Regenerate the tables of TR 96-03 from the reproduction's "
+        "simulated testbed.",
+        engine_help="simulation engine for the sweeps (default: "
+                    "$REPRO_SIM_ENGINE or fast)",
     )
-    parser.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", type=int,
                         help="samples per configuration (default: the "
                              "paper's 10 for TCP/IP, 5 for RPC)")
     parser.add_argument("--stack", choices=["tcpip", "rpc", "both"],
                         default="both")
-    parser.add_argument("--tables", nargs="*", type=int, default=None,
+    parser.add_argument("--tables", nargs="*", type=int,
                         help="subset of table numbers (1-9)")
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="simulation engine for the sweeps (default: "
-                             "$REPRO_SIM_ENGINE or fast)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
-    wanted = set(args.tables) if args.tables else set(range(1, 10))
-    stacks = ["tcpip", "rpc"] if args.stack == "both" else [args.stack]
+    wanted = set(flags.get("tables") or range(1, 10))
+    stacks = ["tcpip", "rpc"] if flags["stack"] == "both" else [flags["stack"]]
     started = time.time()
 
     from repro.api import Settings
@@ -575,7 +508,7 @@ def main(argv=None) -> int:
 
     # the environment is read exactly once; everything below threads
     # these settings explicitly
-    settings = Settings.from_env(engine=args.engine)
+    settings = Settings.from_env(engine=flags.get("engine"))
 
     def emit(text: str) -> None:
         print(text)
@@ -593,7 +526,7 @@ def main(argv=None) -> int:
         for stack in stacks:
             print(f"... running the {stack} configuration sweep ...",
                   file=sys.stderr)
-            sweep = tables.compute_sweep(stack, samples=args.samples,
+            sweep = tables.compute_sweep(stack, samples=flags.get("samples"),
                                          settings=settings)
             if 4 in wanted:
                 emit(reporting.render_table4(sweep, stack))

@@ -55,14 +55,7 @@ Environment configuration (``REPRO_SIM_ENGINE``, ``REPRO_VERIFY_IR``,
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from repro.api.result import FaultStudy, Result, SweepResult
 from repro.api.settings import ENGINES, Settings, validate_engine
@@ -212,20 +205,17 @@ def search(
     from repro.search.driver import search_cell
 
     resolved = spec if isinstance(spec, SearchSpec) else SearchSpec(run=spec)
-    kwargs: Dict[str, int] = {}
-    if resolved.budget is not None:
-        kwargs["budget"] = resolved.budget
     return search_cell(
         resolved.run.stack,
         resolved.run.config,
         opts=resolved.run.options,
+        budget=resolved.budget,
         seed=resolved.seed,
         base_seed=resolved.run.seed,
         settings=settings_for(resolved.run, settings),
         parallel=resolved.parallel,
         max_workers=resolved.max_workers,
         micro_baseline=resolved.micro_baseline,
-        **kwargs,
     )
 
 
@@ -244,21 +234,11 @@ def traffic(
     gate holds this); the ``reference`` engine has no packed-segment
     pass and is refused.
     """
-    from repro.traffic import TrafficSpec, run_traffic_study
+    from repro.traffic import run_traffic_study
 
     resolved = spec if spec is not None else TrafficStudySpec()
-    stream = resolved.traffic if resolved.traffic is not None else TrafficSpec()
     base = _study_settings(resolved.engine, settings)
-    kwargs: Dict[str, Tuple[str, ...]] = {}
-    if resolved.schemes is not None:
-        kwargs["schemes"] = resolved.schemes
-    study: TrafficStudy = run_traffic_study(
-        stream,
-        mixes=resolved.mixes,
-        flow_counts=resolved.flow_counts,
-        engine=base.engine,
-        **kwargs,
-    )
+    study: TrafficStudy = run_traffic_study(resolved, engine=base.engine)
     return study
 
 
@@ -279,27 +259,10 @@ def resilience(
     studies (a CI golden gate holds this).
     """
     from repro.resilience import run_resilience_study
-    from repro.traffic import TrafficSpec
 
     resolved = spec if spec is not None else ResilienceStudySpec()
-    stream = resolved.traffic if resolved.traffic is not None else TrafficSpec()
     base = _study_settings(resolved.engine, settings)
-    kwargs: Dict[str, object] = {}
-    if resolved.schemes is not None:
-        kwargs["schemes"] = resolved.schemes
-    if resolved.fault_rates is not None:
-        kwargs["fault_rates"] = resolved.fault_rates
-    study: ResilienceStudy = run_resilience_study(
-        stream,
-        mixes=resolved.mixes,
-        profile_seed=resolved.profile_seed,
-        scope=resolved.scope,
-        overload=resolved.overload,
-        engine=base.engine,
-        parallel=resolved.parallel,
-        max_workers=resolved.max_workers,
-        **kwargs,
-    )
+    study: ResilienceStudy = run_resilience_study(resolved, engine=base.engine)
     return study
 
 
@@ -380,16 +343,7 @@ def faults(
     resolved = spec if spec is not None else FaultsSpec()
     base = _study_settings(resolved.engine, settings)
     report = SweepReport()
-    rows = tables.compute_fault_table(
-        resolved.stack,
-        rate=resolved.rate,
-        kinds=resolved.kinds,
-        samples=resolved.samples,
-        seed=resolved.seed,
-        engine=base.engine,
-        configs=resolved.configs,
-        report=report,
-    )
+    rows = tables.compute_fault_table(resolved, engine=base.engine, report=report)
     return FaultStudy(
         stack=resolved.stack,
         rate=resolved.rate,
@@ -419,10 +373,4 @@ def datalayout(
 
     resolved = spec if spec is not None else DatalayoutSpec()
     base = _study_settings(resolved.engine, settings)
-    return run_datalayout_study(
-        engine=base.engine,
-        seed=resolved.seed,
-        techniques=resolved.techniques,
-        stacks=resolved.stacks,
-        configs=resolved.configs,
-    )
+    return run_datalayout_study(resolved, engine=base.engine)

@@ -20,15 +20,20 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.protocols.options import Section2Options
+from repro.xkernel.map import SCHEME_SPECS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.resilience.queueing import OverloadSpec
     from repro.traffic.spec import TrafficSpec
 
 #: valid stacks / build configurations (mirrors repro.harness.configs,
-#: duplicated here so the spec layer stays import-light)
+#: duplicated here so the spec layer stays import-light; a test holds
+#: the copies equal)
 SPEC_STACKS = ("tcpip", "rpc")
 SPEC_CONFIGS = ("BAD", "STD", "OUT", "CLO", "PIN", "ALL")
+
+#: candidate simulations a layout search spends unless told otherwise
+DEFAULT_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,8 @@ class SearchSpec:
     """One profile-guided layout search: the cell plus the search knobs."""
 
     run: RunSpec = field(default_factory=RunSpec)
-    #: candidate simulations to spend (None: the driver's default budget)
-    budget: Optional[int] = None
+    #: candidate simulations to spend
+    budget: int = DEFAULT_BUDGET
     #: drives every random choice the search makes
     seed: int = 0
     parallel: bool = False
@@ -180,7 +185,7 @@ class TrafficStudySpec:
     """
 
     traffic: Optional["TrafficSpec"] = None
-    schemes: Optional[Tuple[str, ...]] = None
+    schemes: Tuple[str, ...] = SCHEME_SPECS
     mixes: Optional[Tuple[str, ...]] = None
     flow_counts: Optional[Tuple[int, ...]] = None
     engine: Optional[str] = None
@@ -197,10 +202,11 @@ class ResilienceStudySpec:
     """One faulted-traffic resilience study: stream, faults and load."""
 
     traffic: Optional["TrafficSpec"] = None
-    schemes: Optional[Tuple[str, ...]] = None
+    schemes: Tuple[str, ...] = ("one-entry", "lru:4")
     mixes: Optional[Tuple[str, ...]] = None
-    #: total per-packet fault rates (None: the study default (0.0, 0.01))
-    fault_rates: Optional[Tuple[float, ...]] = None
+    #: total per-packet fault rates, each spread uniformly over the
+    #: receive-side kinds
+    fault_rates: Tuple[float, ...] = (0.0, 0.01)
     #: fault-arrival seed (the traffic spec's stream seed is unchanged)
     profile_seed: int = 0
     #: which flows faults may hit

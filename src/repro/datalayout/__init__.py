@@ -31,7 +31,6 @@ from repro.datalayout.transforms import (
     region_remaps,
 )
 from repro.datalayout.study import (
-    STUDY_STACKS,
     DatalayoutCell,
     DatalayoutStudy,
     datalayout_cell,
@@ -48,7 +47,6 @@ __all__ = [
     "RegionLayout",
     "apply_data_layout",
     "region_remaps",
-    "STUDY_STACKS",
     "DatalayoutCell",
     "DatalayoutStudy",
     "datalayout_cell",

@@ -21,7 +21,7 @@ in CI and any divergence is a drift failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.api.settings import validate_engine
 from repro.datalayout.techniques import DATA_TECHNIQUES, DataTechnique
@@ -29,6 +29,7 @@ from repro.datalayout.transforms import LayoutReport, apply_data_layout
 
 if TYPE_CHECKING:
     from repro.analysis.bounds import BoundEvent, TraceDigest
+    from repro.api.spec import DatalayoutSpec
     from repro.core.program import Program
     from repro.core.walker import WalkResult
     from repro.harness.configs import Section2Options
@@ -38,10 +39,7 @@ __all__ = [
     "DatalayoutStudy",
     "datalayout_cell",
     "run_datalayout_study",
-    "STUDY_STACKS",
 ]
-
-STUDY_STACKS: Tuple[str, ...] = ("tcpip", "rpc")
 
 
 @dataclass(frozen=True)
@@ -326,17 +324,16 @@ def datalayout_cell(
 
 
 def run_datalayout_study(
+    spec: DatalayoutSpec,
     *,
     engine: str = "fast",
-    seed: int = 42,
-    techniques: Optional[Sequence[str]] = None,
-    stacks: Sequence[str] = STUDY_STACKS,
-    configs: Optional[Sequence[str]] = None,
     opts: Optional[Section2Options] = None,
 ) -> DatalayoutStudy:
-    """Run the full data-technique grid.
+    """Run the spec's data-technique grid on one engine.
 
-    Each (stack, config) cell is built once per distinct layout transform
+    ``engine`` is the resolved engine name (:func:`repro.api.datalayout`
+    resolves ``spec.engine`` against the settings).  Each (stack, config)
+    cell is built once per distinct layout transform
     (:attr:`DataTechnique.layout`), and that image is measured under every
     technique sharing the transform; one image is alive at a time.
 
@@ -344,28 +341,25 @@ def run_datalayout_study(
     cell's attributed stalls diverge from the engine's measurement — a
     completed study carries the invariant for every cell it holds.
     """
-    from repro.harness.configs import CONFIG_NAMES
-
     validate_engine(engine)
-    names = tuple(techniques if techniques is not None else DATA_TECHNIQUES)
+    names = tuple(spec.techniques if spec.techniques is not None else DATA_TECHNIQUES)
     unknown = [n for n in names if n not in DATA_TECHNIQUES]
     if unknown:
         raise ValueError(f"unknown data techniques {unknown!r}")
     if "baseline" not in names:
         # the floors (and therefore the summary) are defined vs. baseline
         names = ("baseline",) + names
-    cfg_names = tuple(configs if configs is not None else CONFIG_NAMES)
     by_layout: Dict[str, List[DataTechnique]] = {}
     for name in names:
         technique = DATA_TECHNIQUES[name]
         by_layout.setdefault(technique.layout, []).append(technique)
 
     measured: Dict[Tuple[str, str, str], DatalayoutCell] = {}
-    for stack in stacks:
-        for config in cfg_names:
+    for stack in spec.stacks:
+        for config in spec.configs:
             for sharing in by_layout.values():
                 image = _image(
-                    stack, config, sharing[0], engine=engine, seed=seed, opts=opts
+                    stack, config, sharing[0], engine=engine, seed=spec.seed, opts=opts
                 )
                 for technique in sharing:
                     measured[(technique.name, stack, config)] = _measure_cell(
@@ -373,11 +367,11 @@ def run_datalayout_study(
                     )
                 del image  # released before the next is built: one alive at a time
 
-    study = DatalayoutStudy(engine=engine, seed=seed, techniques=names)
+    study = DatalayoutStudy(engine=engine, seed=spec.seed, techniques=names)
     study.cells = [
         measured[(name, stack, config)]
         for name in names
-        for stack in stacks
-        for config in cfg_names
+        for stack in spec.stacks
+        for config in spec.configs
     ]
     return study

@@ -7,7 +7,7 @@ returns plain dictionaries the renderers in :mod:`repro.harness.reporting`
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.core.metrics import (
     block_utilization,
@@ -16,6 +16,9 @@ from repro.core.metrics import (
 from repro.harness.configs import STACKS
 from repro.harness.experiment import Experiment, ExperimentResult, run_all_configs
 from repro.protocols.options import Section2Options
+
+if TYPE_CHECKING:
+    from repro.api.spec import FaultsSpec
 
 
 # --------------------------------------------------------------------------- #
@@ -188,37 +191,33 @@ def compute_table9(*, seed: int = 42) -> Dict[str, Dict[str, float]]:
 
 
 def compute_fault_table(
-    stack: str,
+    spec: FaultsSpec,
     *,
-    rate: float,
-    kinds: Optional[Tuple[str, ...]] = None,
-    samples: Optional[int] = None,
-    seed: int = 0,
     engine: Optional[str] = None,
-    configs: Optional[Tuple[str, ...]] = None,
     report=None,
 ) -> Dict[str, Dict[str, float]]:
     """Fault-free vs faulted sweep of one stack at one injection rate.
 
     The paper's layout techniques bet on the error paths never running;
-    this table prices the bet's downside.  Per configuration it pairs a
-    pristine sweep against one driven through a
+    this table prices the bet's downside.  Per configuration of the spec
+    it pairs a pristine sweep against one driven through a
     :class:`repro.faults.FaultPlan`, reporting the processing-time and
     mCPI penalty, the injected-fault density, and the mean instruction
     window spent inside fault-steered code (from the plan's walk marks).
+    ``engine`` is the resolved engine name (:func:`repro.api.faults`
+    resolves ``spec.engine`` against the settings).
     """
     from repro.faults.plan import FaultPlan, fault_spans
 
-    configs = tuple(configs) if configs else tuple(
-        name for name in ("BAD", "STD", "OUT", "CLO", "PIN", "ALL")
-    )
-    baseline = run_all_configs(stack, configs, samples=samples, engine=engine)
-    plan = FaultPlan(stack=stack, rate=rate, seed=seed, kinds=kinds)
-    faulted = run_all_configs(stack, configs, samples=samples, engine=engine,
-                              fault_plan=plan, report=report)
+    baseline = run_all_configs(spec.stack, spec.configs, samples=spec.samples,
+                               engine=engine)
+    plan = FaultPlan(stack=spec.stack, rate=spec.rate, seed=spec.seed,
+                     kinds=spec.kinds)
+    faulted = run_all_configs(spec.stack, spec.configs, samples=spec.samples,
+                              engine=engine, fault_plan=plan, report=report)
 
     out: Dict[str, Dict[str, float]] = {}
-    for config in configs:
+    for config in spec.configs:
         base, fault = baseline[config], faulted[config]
         n = max(len(fault.samples), 1)
         span_instructions = sum(

@@ -13,7 +13,7 @@ optionally on the self-healing process pool, and embeds the structured
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arch.simulator import AlphaConfig
 from repro.harness.parallel import SweepReport, run_parallel_cells
@@ -32,6 +32,9 @@ from repro.traffic.study import (
     run_traffic_point,
 )
 from repro.xkernel.map import make_scheme
+
+if TYPE_CHECKING:
+    from repro.api.spec import ResilienceStudySpec
 
 #: artifact schema tag so downstream tooling can dispatch on shape
 SCHEMA = "repro.resilience/1"
@@ -188,34 +191,29 @@ def _point_worker(
 
 
 def run_resilience_study(
-    base_spec: TrafficSpec,
+    study_spec: ResilienceStudySpec,
     *,
-    schemes: Sequence[str] = ("one-entry", "lru:4"),
-    mixes: Optional[Sequence[str]] = None,
-    fault_rates: Sequence[float] = (0.0, 0.01),
-    profile_seed: int = 0,
-    scope: str = "all",
-    overload: Optional[OverloadSpec] = None,
     engine: str = "fast",
     config: Optional[AlphaConfig] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     report: Optional[SweepReport] = None,
 ) -> ResilienceStudy:
-    """Sweep scheme x mix x fault-rate over one cell and engine.
+    """Sweep the spec's scheme x mix x fault-rate grid on one engine.
 
-    Points are independent (fresh maps, machine and seeds per point), so
-    the serial and parallel paths produce bit-identical studies; the
-    parallel path dispatches whole cells through the self-healing pool
-    and folds its :class:`SweepReport` into the study artifact.
+    ``engine`` is the resolved engine name (:func:`repro.api.resilience`
+    resolves ``study_spec.engine`` against the settings).  Points are
+    independent (fresh maps, machine and seeds per point), so the serial
+    and parallel paths produce bit-identical studies; the parallel path
+    dispatches whole cells through the self-healing pool and folds its
+    :class:`SweepReport` into the study artifact.
     """
-    mixes = tuple(mixes) if mixes is not None else (base_spec.mix,)
+    base_spec = study_spec.traffic or TrafficSpec()
+    mixes = study_spec.mixes if study_spec.mixes is not None else (base_spec.mix,)
     for mix in mixes:
         if mix not in MIXES:
             raise ValueError(f"mix must be one of {MIXES}, got {mix!r}")
-    schemes = tuple(make_scheme(s).name for s in schemes)
-    fault_rates = tuple(fault_rates)
-    overload = overload or OverloadSpec()
+    schemes = tuple(make_scheme(s).name for s in study_spec.schemes)
+    fault_rates = study_spec.fault_rates
+    overload = study_spec.overload or OverloadSpec()
     overload.validate()
     config = config or AlphaConfig()
     if report is None:
@@ -235,8 +233,8 @@ def run_resilience_study(
         schemes=schemes,
         mixes=mixes,
         fault_rates=fault_rates,
-        profile_seed=profile_seed,
-        scope=scope,
+        profile_seed=study_spec.profile_seed,
+        scope=study_spec.scope,
         overload=overload,
         sweep=report,
     )
@@ -246,11 +244,13 @@ def run_resilience_study(
     for mix in mixes:
         spec = base_spec.with_(mix=mix)
         for rate in fault_rates:
-            profile = FaultProfile.uniform(rate, seed=profile_seed, scope=scope)
+            profile = FaultProfile.uniform(
+                rate, seed=study_spec.profile_seed, scope=study_spec.scope
+            )
             for scheme in schemes:
                 cells.append((spec, scheme, profile))
 
-    if parallel:
+    if study_spec.parallel:
         payloads = [
             (spec, scheme, profile, overload, engine)
             for spec, scheme, profile in cells
@@ -263,7 +263,7 @@ def run_resilience_study(
             _point_worker,
             payloads,
             labels,
-            max_workers=max_workers,
+            max_workers=study_spec.max_workers,
             report=report,
         )
         study.points.extend(results)

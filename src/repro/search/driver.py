@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.settings import Settings
+from repro.api.spec import DEFAULT_BUDGET
 from repro.obs.conflicts import ConflictMatrix
 from repro.search.artifact import Genome, LayoutArtifact, pack_genome
 from repro.search.evaluate import CellEvaluator, Placements, Score
@@ -40,8 +41,6 @@ from repro.search.generators import (
     mutate,
 )
 
-#: default number of candidates that pay for full simulation
-DEFAULT_BUDGET = 64
 #: elite genomes kept as mutation parents
 ELITE = 4
 #: fresh candidates generated per round (before prefiltering)

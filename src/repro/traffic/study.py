@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arch.packed import PackedTrace
 from repro.arch.simulator import AlphaConfig
@@ -29,9 +29,10 @@ from repro.traffic.stream import (
     TransitionStream,
     make_stream_machine,
 )
-from repro.xkernel.map import SCHEME_SPECS, make_scheme
+from repro.xkernel.map import make_scheme
 
 if TYPE_CHECKING:  # resilience layers on traffic, never the reverse
+    from repro.api.spec import TrafficStudySpec
     from repro.resilience.faults import FaultProfile
 
 #: placeholder outcome for a demux layer a faulted packet never reaches
@@ -423,27 +424,29 @@ def _stats_json(stats) -> dict:
 
 
 def run_traffic_study(
-    base_spec: TrafficSpec,
+    study_spec: TrafficStudySpec,
     *,
-    schemes: Sequence[str] = SCHEME_SPECS,
-    mixes: Optional[Sequence[str]] = None,
-    flow_counts: Optional[Sequence[int]] = None,
     engine: str = "fast",
     config: Optional[AlphaConfig] = None,
 ) -> TrafficStudy:
-    """Sweep scheme x mix x flow-count over one cell and engine.
+    """Sweep the spec's scheme x mix x flow-count grid on one engine.
 
-    The segment library is shared across points (walks are per-variant,
-    not per-point); every point gets fresh maps, a fresh machine and the
+    ``engine`` is the resolved engine name (:func:`repro.api.traffic`
+    resolves ``study_spec.engine`` against the settings).  The segment
+    library is shared across points (walks are per-variant, not
+    per-point); every point gets fresh maps, a fresh machine and the
     same seeds, so points are independent and the grid order is
     irrelevant to the numbers.
     """
-    mixes = tuple(mixes) if mixes is not None else (base_spec.mix,)
-    flow_counts = tuple(flow_counts) if flow_counts is not None else (base_spec.flows,)
+    base_spec = study_spec.traffic or TrafficSpec()
+    mixes = study_spec.mixes if study_spec.mixes is not None else (base_spec.mix,)
+    flow_counts = study_spec.flow_counts
+    if flow_counts is None:
+        flow_counts = (base_spec.flows,)
     for mix in mixes:
         if mix not in MIXES:
             raise ValueError(f"mix must be one of {MIXES}, got {mix!r}")
-    schemes = tuple(make_scheme(s).name for s in schemes)
+    schemes = tuple(make_scheme(s).name for s in study_spec.schemes)
     config = config or AlphaConfig()
     study = TrafficStudy(
         base_spec=base_spec,

@@ -581,11 +581,12 @@ class TestCells:
     def test_grid_bounds_are_byte_identical(self):
         """Every grid cell's full bounds; the grid's output carries only
         the steady totals."""
-        from repro.datalayout.study import STUDY_STACKS, _image
+        from repro.api.spec import SPEC_STACKS
+        from repro.datalayout.study import _image
         from repro.datalayout.techniques import DATA_TECHNIQUES
 
         digest = hashlib.sha256()
-        for stack in STUDY_STACKS:
+        for stack in SPEC_STACKS:
             for config in CONFIG_NAMES:
                 images = {}
                 for technique in DATA_TECHNIQUES.values():

@@ -21,6 +21,17 @@ class TestRegistrySync:
             assert name in api.__all__
 
 
+class TestNameCopies:
+    """The spec layer's copies of the stack and configuration names."""
+
+    def test_spec_names_equal_the_harness_names(self):
+        from repro.api.spec import SPEC_CONFIGS, SPEC_STACKS
+        from repro.harness.configs import CONFIG_NAMES, STACKS
+
+        assert SPEC_CONFIGS == CONFIG_NAMES
+        assert SPEC_STACKS == tuple(STACKS)
+
+
 class TestNoDirectCallSites:
     """``python -m repro`` goes through :mod:`repro.api` exclusively.
 

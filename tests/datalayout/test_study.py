@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import DatalayoutSpec
 from repro.arch.fastsim import FastMachine
 from repro.arch.simulator import AlphaConfig
 from repro.core.fastwalk import FastWalker
@@ -21,7 +22,7 @@ from repro.obs import Attribution
 @pytest.fixture(scope="module")
 def study():
     """A narrowed but technique-complete grid (one config per stack)."""
-    return run_datalayout_study(configs=("STD",))
+    return run_datalayout_study(DatalayoutSpec(configs=("STD",)))
 
 
 class TestBoundsOverStoreModes:
@@ -50,7 +51,7 @@ class TestStudySurface:
 
     def test_baseline_is_always_included(self):
         narrow = run_datalayout_study(
-            techniques=("pack",), stacks=("tcpip",), configs=("STD",)
+            DatalayoutSpec(techniques=("pack",), stacks=("tcpip",), configs=("STD",))
         )
         assert {c.technique for c in narrow.cells} == {"baseline", "pack"}
         # the floor is defined by the force-included baseline cells
@@ -114,7 +115,9 @@ class TestAttributionPasses:
         return seen
 
     def test_every_cell_runs_three_passes(self, sinks):
-        study = run_datalayout_study(techniques=("all",), configs=("STD",))
+        study = run_datalayout_study(
+            DatalayoutSpec(techniques=("all",), configs=("STD",))
+        )
         assert len(sinks) == len(study.cells)
         for measures, _reports in sinks.values():
             assert measures == [True, False, True]

@@ -8,6 +8,7 @@ study to the byte.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -132,11 +133,13 @@ class TestRunResilienceStudy:
     @pytest.fixture(scope="class")
     def study(self):
         return run_resilience_study(
-            SMALL,
-            schemes=("one-entry", "lru:4"),
-            mixes=("zipf", "scan"),
-            fault_rates=(0.0, 0.05),
-            overload=LOADS,
+            api.ResilienceStudySpec(
+                traffic=SMALL,
+                schemes=("one-entry", "lru:4"),
+                mixes=("zipf", "scan"),
+                fault_rates=(0.0, 0.05),
+                overload=LOADS,
+            )
         )
 
     def test_grid_is_complete(self, study):
@@ -153,7 +156,9 @@ class TestRunResilienceStudy:
 
     def test_bad_mix_rejected(self):
         with pytest.raises(ValueError, match="mix"):
-            run_resilience_study(SMALL, mixes=("diurnal",))
+            run_resilience_study(
+                api.ResilienceStudySpec(traffic=SMALL, mixes=("diurnal",))
+            )
 
     def test_sweep_report_embedded(self, study):
         assert study.sweep.completed == 8
@@ -169,14 +174,14 @@ class TestRunResilienceStudy:
         json.dumps(j)  # fully serializable
 
     def test_parallel_equals_serial(self):
-        serial = run_resilience_study(
-            SMALL, schemes=("one-entry",), fault_rates=(0.0, 0.05),
+        spec = api.ResilienceStudySpec(
+            traffic=SMALL,
+            schemes=("one-entry",),
+            fault_rates=(0.0, 0.05),
             overload=LOADS,
         )
-        parallel = run_resilience_study(
-            SMALL, schemes=("one-entry",), fault_rates=(0.0, 0.05),
-            overload=LOADS, parallel=True, max_workers=2,
-        )
+        serial = run_resilience_study(spec)
+        parallel = run_resilience_study(replace(spec, parallel=True, max_workers=2))
         a = [p.to_json() for p in serial.points]
         b = [p.to_json() for p in parallel.points]
         assert json.dumps(a) == json.dumps(b)

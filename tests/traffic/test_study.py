@@ -67,9 +67,11 @@ class TestRunTrafficStudy:
     @pytest.fixture(scope="class")
     def study(self):
         return run_traffic_study(
-            SMALL,
-            schemes=("one-entry", "none", "direct:16"),
-            mixes=("zipf", "uniform"),
+            api.TrafficStudySpec(
+                traffic=SMALL,
+                schemes=("one-entry", "none", "direct:16"),
+                mixes=("zipf", "uniform"),
+            )
         )
 
     def test_grid_is_complete(self, study):
@@ -91,7 +93,7 @@ class TestRunTrafficStudy:
 
     def test_rejects_unknown_mix(self):
         with pytest.raises(ValueError, match="mix"):
-            run_traffic_study(SMALL, mixes=("poisson",))
+            run_traffic_study(api.TrafficStudySpec(traffic=SMALL, mixes=("poisson",)))
 
     def test_render_is_engine_free_and_complete(self, study):
         table = render_traffic_table(study)
