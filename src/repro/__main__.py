@@ -82,6 +82,21 @@ def _stream_flags(parser, mixes) -> None:
                              "probability")
 
 
+def _stream_engine(parser, flags) -> None:
+    """Refuse, as a usage error, an engine the stream verbs cannot run.
+
+    ``--engine`` offers only fast; ``$REPRO_SIM_ENGINE`` is held to the
+    same rule here, before any work, rather than once the stream starts.
+    """
+    from repro.api import Settings
+    from repro.traffic.stream import check_stream_engine
+
+    try:
+        check_stream_engine(Settings.from_env(engine=flags.get("engine")).engine)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _typed(flags, *names):
     """The typed flags among ``names``."""
     return {name: flags[name] for name in names if name in flags}
@@ -303,13 +318,20 @@ def search_main(argv=None) -> int:
     run = _fill(parser, api.RunSpec, _typed(flags, "stack", "config", "engine"),
                 **base_seed)
     spec = _fill(parser, api.SearchSpec, flags, run=run)
+    if "check" in flags:
+        # an artifact that cannot be read is a usage error, found before
+        # the search spends its budget
+        try:
+            recorded = LayoutArtifact.load(flags["check"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            parser.error(f"argument --check: cannot load {flags['check']!r}: "
+                         f"{type(exc).__name__}: {exc}")
     result = api.search(spec)
 
     if "out" in flags:
         result.artifact.save(flags["out"])
     text, problems = result.render(), []
     if "check" in flags:
-        recorded = LayoutArtifact.load(flags["check"])
         if (recorded.stack, recorded.config) != (run.stack, run.config):
             problems.append(
                 f"recorded artifact is for ({recorded.stack}, "
@@ -364,6 +386,7 @@ def traffic_main(argv=None) -> int:
     parser.add_argument("--zipf-s", type=float,
                         help="Zipf skew of the flow popularity ranking")
     flags = vars(parser.parse_args(argv))
+    _stream_engine(parser, flags)
 
     from repro import api
 
@@ -423,6 +446,7 @@ def resilience_main(argv=None) -> int:
     parser.add_argument("--parallel", action="store_true",
                         help="run grid cells on the self-healing pool")
     flags = vars(parser.parse_args(argv))
+    _stream_engine(parser, flags)
 
     from repro import api
 

@@ -175,6 +175,22 @@ class FaultsSpec:
                 raise ValueError(f"unknown fault kind(s) {unknown!r}")
 
 
+def _check_stream_study(schemes: Tuple[str, ...], engine: Optional[str]) -> None:
+    """Reject, when a stream study's spec is made, a caching scheme no map
+    can build or an engine without a packed-segment pass: either would
+    otherwise fail only once the stream has started."""
+    from repro.traffic.stream import check_stream_engine
+    from repro.xkernel.map import MapError, make_scheme
+
+    for scheme in schemes:
+        try:
+            make_scheme(scheme)
+        except MapError as exc:
+            raise ValueError(str(exc)) from None
+    if engine is not None:
+        check_stream_engine(engine)
+
+
 @dataclass(frozen=True)
 class TrafficStudySpec:
     """One demux-cache traffic study: the stream plus the sweep axes.
@@ -195,6 +211,7 @@ class TrafficStudySpec:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, tuple(value))
+        _check_stream_study(self.schemes, self.engine)
 
 
 @dataclass(frozen=True)
@@ -221,6 +238,7 @@ class ResilienceStudySpec:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, tuple(value))
+        _check_stream_study(self.schemes, self.engine)
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,23 @@ identical decisions at every step, so rebinding is exact; anything else
 falls back to the full walk.  Stack-relative references need no slot:
 an identical walk reproduces the same stack pointer trajectory, so their
 addresses are part of the shared template.
+
+A rebind also makes the full walk's ``on_dref`` calls, each at its
+rebound base, so a caller collecting the walk's data-slot provenance
+(:class:`~repro.core.walker.DataSlots`) gets the same answer from either
+walker, rebound or not.
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.packed import PackedTrace
 from repro.core.walker import (
+    DataSlots,
+    DrefHook,
     EnterEvent,
     Event,
     ExitEvent,
@@ -88,54 +96,78 @@ def event_signature(events: Iterable[Event]) -> Tuple:
 class TraceTemplate:
     """A walked trace with its data references annotated for rebinding."""
 
-    __slots__ = ("pcs", "ops", "flags", "daddrs", "marks", "slots", "shared")
+    __slots__ = ("pcs", "ops", "flags", "daddrs", "marks", "slots", "stack",
+                 "shared")
 
-    def __init__(self, result: WalkResult,
-                 bindings: Dict[Tuple, Tuple[int, List[int]]]) -> None:
+    def __init__(self, result: WalkResult, slots: DataSlots,
+                 stack: array) -> None:
         packed = result.packed
         self.pcs = packed.pcs
         self.ops = packed.ops
         self.flags = packed.flags
         self.daddrs = packed.daddrs
         self.marks = result.marks
-        #: source key -> (base address at template time, daddr indices)
-        self.slots = bindings
+        #: the walk's data-slot provenance, at template-time bases
+        self.slots = slots
+        #: (trace index, stack pointer) pairs of the stack-relative data
+        #: references, flattened; every rebind reproduces them exactly
+        self.stack = stack
         #: pcs/ops/flags-derived caches shared by the template's packed
         #: trace and every rebind (the fetch-run encoding, the CPU pass)
         self.shared = packed._shared
 
-    def rebind(self, events: Sequence[Event],
-               env: Mapping[str, int]) -> WalkResult:
+    def rebind(self, events: Sequence[Event], env: Mapping[str, int],
+               on_dref: Optional[DrefHook] = None) -> WalkResult:
         """Produce the walk of ``events`` by shifting region bases.
 
         ``events`` must have the signature this template was built from;
         ``env`` is the walker's full data environment (defaults applied).
+        ``on_dref`` receives the calls a full walk of ``events`` makes.
         """
         daddrs = array("q", self.daddrs)
+        bases: Dict[Tuple, int] = {}
         for src, (base, idxs) in self.slots.items():
             if src[0] == "evt":
                 new_base = events[src[1]].data[src[2]]
             else:
                 new_base = env[src[1]]
+            bases[src] = new_base
             delta = new_base - base
             if delta:
                 for i in idxs:
                     daddrs[i] += delta
+        if on_dref is not None:
+            self.replay(on_dref, bases)
         # pcs/ops/flags are shared with the template (and every other
         # rebind); walk results are never mutated downstream.
         packed = PackedTrace(self.pcs, daddrs, self.ops, self.flags)
         packed._shared = self.shared
         return WalkResult(packed, list(self.marks))
 
+    def replay(self, on_dref: DrefHook, bases: Mapping[Tuple, int]) -> None:
+        """Make the template walk's ``on_dref`` calls, in trace order,
+        with each source key resolved at ``bases[key]``."""
+        stack = self.stack
+        calls = [(stack[i], None, stack[i + 1]) for i in range(0, len(stack), 2)]
+        for src, (_, idxs) in self.slots.items():
+            base = bases[src]
+            calls.extend([(i, src, base) for i in idxs])
+        calls.sort(key=itemgetter(0))
+        for call in calls:
+            on_dref(*call)
+
 
 class FastWalker(Walker):
     """A :class:`Walker` with a per-build template cache.
 
     Templates attach to the program object itself, so rebuilding or
-    re-laying-out a program naturally starts from an empty cache.
+    re-laying-out a program naturally starts from an empty cache.  A
+    rebind honours ``on_dref`` as a full walk does: the same calls in the
+    same order, each at its rebound base.
     """
 
-    def walk(self, events: Iterable[Event]) -> WalkResult:
+    def walk(self, events: Iterable[Event], *,
+             on_dref: Optional[DrefHook] = None) -> WalkResult:
         stream = list(events)
         signature = event_signature(stream)
         key = (signature, self._stack_top, tuple(sorted(self.data_env)))
@@ -143,23 +175,22 @@ class FastWalker(Walker):
         template = templates.get(key)
         if template is not None:
             try:
-                return template.rebind(stream, self.data_env)
+                return template.rebind(stream, self.data_env, on_dref)
             except (KeyError, IndexError):
                 # unexpected drift: drop the template, walk normally
                 templates.pop(key, None)
 
-        bindings: Dict[Tuple, Tuple[int, List[int]]] = {}
+        slots = DataSlots()
+        stack = array("q")
 
         def record(idx: int, src: Optional[Tuple], base: int) -> None:
             if src is None:
-                return
-            slot = bindings.get(src)
-            if slot is None:
-                bindings[src] = (base, [idx])
+                stack.extend((idx, base))
             else:
-                slot[1].append(idx)
+                slots.record(idx, src, base)
+            if on_dref is not None:
+                on_dref(idx, src, base)
 
         result = super().walk(stream, on_dref=record)
-        templates[key] = TraceTemplate(result, bindings)
+        templates[key] = TraceTemplate(result, slots, stack)
         return result
-

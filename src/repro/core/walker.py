@@ -414,13 +414,36 @@ def _compiled_blocks(program: Program, name: str) -> Dict[str, _CBlock]:
     return cblocks
 
 
-#: source keys for template rebinding (see repro.core.fastwalk):
+#: The ``on_dref`` hook of :meth:`Walker.walk`: called once per emitted
+#: data reference, in trace order, with its trace index, its region's
+#: source key and the base address the region resolved to.  Source keys:
 #: ("env", region) — resolved from the walker's data environment;
 #: ("evt", ordinal, region) — resolved from the data dict of the
-#: EnterEvent at absolute stream position ``ordinal``.  Stack-relative
-#: references have no source key: their addresses are reproduced exactly
-#: by any structurally identical walk.
-DrefRecord = Tuple[int, Optional[Tuple], int]
+#: EnterEvent at absolute stream position ``ordinal``; ``None`` — a
+#: stack-relative reference, whose address any structurally identical
+#: walk reproduces exactly (its base is the stack pointer).
+DrefHook = Callable[[int, Optional[Tuple], int], None]
+
+
+class DataSlots(Dict[Tuple, Tuple[int, List[int]]]):
+    """A walk's data-slot provenance: which trace indices resolved
+    against which region base.
+
+    Maps each source key (see :data:`DrefHook`) to the base address the
+    walk resolved it at and the trace indices of the data references it
+    served; the key's last element is the region.  :meth:`record` is the
+    ``on_dref`` hook that fills it, on either walker.  Stack-relative
+    references carry no source key and are not recorded.
+    """
+
+    def record(self, idx: int, src: Optional[Tuple], base: int) -> None:
+        if src is None:
+            return
+        slot = self.get(src)
+        if slot is None:
+            self[src] = (base, [idx])
+        else:
+            slot[1].append(idx)
 
 
 class Walker:
@@ -450,13 +473,13 @@ class Walker:
         self,
         events: Iterable[Event],
         *,
-        on_dref: Optional[Callable[[int, Optional[Tuple], int], None]] = None,
+        on_dref: Optional[DrefHook] = None,
     ) -> WalkResult:
         """Expand a complete, well-nested event stream into a trace.
 
-        ``on_dref`` (used by the template cache) receives, for every
-        emitted data reference, the trace index, the region's source key,
-        and the resolved base address.
+        ``on_dref`` (see :data:`DrefHook`; :meth:`DataSlots.record` is
+        one) receives, for every emitted data reference, the trace index,
+        the region's source key, and the resolved base address.
         """
         stream: List[Event] = list(events)
         pos = 0

@@ -7,7 +7,8 @@ tcp/ip, ~1005 on rpc) that none of the code techniques move.  It bundles
 
 * the layout transforms (:mod:`repro.datalayout.transforms`) — field
   packing and hot/cold splitting of the protocol state blocks the IR
-  addresses symbolically,
+  addresses symbolically, planned from one survey of a build and applied
+  by re-addressing its walk,
 * the technique axis (:mod:`repro.datalayout.techniques`) crossing those
   transforms with the store behaviours of
   :class:`repro.arch.memory.MemoryConfig` (write coalescing,
@@ -25,10 +26,13 @@ from repro.datalayout.techniques import (
 from repro.datalayout.transforms import (
     EXCLUDED_REGIONS,
     PACK_GAP,
+    DataSurvey,
+    LayoutPlan,
     LayoutReport,
     RegionLayout,
     apply_data_layout,
-    region_remaps,
+    readdress,
+    survey_data_refs,
 )
 from repro.datalayout.study import (
     DatalayoutCell,
@@ -43,10 +47,13 @@ __all__ = [
     "DataTechnique",
     "EXCLUDED_REGIONS",
     "PACK_GAP",
+    "DataSurvey",
+    "LayoutPlan",
     "LayoutReport",
     "RegionLayout",
     "apply_data_layout",
-    "region_remaps",
+    "readdress",
+    "survey_data_refs",
     "DatalayoutCell",
     "DatalayoutStudy",
     "datalayout_cell",

@@ -2,20 +2,30 @@
 
 Every cell of the paper's 12-cell grid (2 stacks × 6 code configurations)
 is re-measured under each :class:`~repro.datalayout.techniques.
-DataTechnique`.  A fresh build is layout-transformed, walked and digested
-once per distinct layout transform — ``baseline`` and the store-only
-techniques share the untransformed image, and ``split`` and ``all`` share
-the split one — and each technique's store behaviour is then measured on
-that image by one attributed machine of the chosen engine (a cold run,
-one warm-up, a steady run; the :class:`~repro.obs.attribution.Attribution`
-sink classifies the engine's own decision log and its totals are checked
-against the engine's), and bracketed by the abstract-interpretation
-bounds of :mod:`repro.analysis.bounds` under the same store behaviour.
+DataTechnique`.  Each (stack, config) cell is built once and walked once,
+untransformed, recording the walk's data-slot provenance
+(:class:`~repro.core.walker.DataSlots`).  A layout transform moves only
+the offsets of scalar data references, so the image of each distinct
+transform — ``baseline`` and the store-only techniques share the
+untransformed walk, and ``split`` and ``all`` share the split one — is
+that walk re-addressed (:func:`~repro.datalayout.transforms.readdress`)
+under the plan one survey of the build yields
+(:meth:`~repro.datalayout.transforms.DataSurvey.plan`).  The images share
+the walk's pcs, ops and flags with their derived caches, and no program is
+ever rewritten.  Each image is digested and bound once; each technique's
+store behaviour is then measured on it by one attributed machine of the
+chosen engine (a cold run, one warm-up, a steady run; the
+:class:`~repro.obs.attribution.Attribution` sink classifies the engine's
+own decision log and its totals are checked against the engine's), and
+bracketed by the abstract-interpretation bounds of
+:mod:`repro.analysis.bounds` under the same store behaviour.
 
 All engines are bit-identical, so the study's numbers are
 engine-independent (the differential tests hold fast against the
-reference oracle cell by cell); the committed golden table is regenerated
-in CI and any divergence is a drift failure.
+reference oracle cell by cell, and every re-addressed walk against the
+walk of the program :func:`~repro.datalayout.transforms.apply_data_layout`
+rewrote); the committed golden table is regenerated in CI and any
+divergence is a drift failure.
 """
 
 from __future__ import annotations
@@ -25,13 +35,18 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.api.settings import validate_engine
 from repro.datalayout.techniques import DATA_TECHNIQUES, DataTechnique
-from repro.datalayout.transforms import LayoutReport, apply_data_layout
+from repro.datalayout.transforms import (
+    DataSurvey,
+    LayoutReport,
+    readdress,
+    survey_data_refs,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.bounds import BoundEvent, TraceDigest
     from repro.api.spec import DatalayoutSpec
     from repro.core.program import Program
-    from repro.core.walker import WalkResult
+    from repro.core.walker import DataSlots, WalkResult
     from repro.harness.configs import Section2Options
 
 __all__ = [
@@ -206,10 +221,22 @@ class DatalayoutStudy:
 
 
 @dataclass(frozen=True)
+class _Walked:
+    """One (stack, config) cell, built and walked once, untransformed."""
+
+    program: Program
+    survey: DataSurvey
+    walk: WalkResult
+    #: the walk's data-slot provenance, which :func:`readdress` moves
+    slots: DataSlots
+    placements: Dict[str, int]
+
+
+@dataclass(frozen=True)
 class _Image:
-    """One cell's build under one layout transform: transformed, walked,
-    digested and bound once, then measured under every store behaviour
-    that shares the transform (store behaviours share the block size)."""
+    """One cell's walk under one layout transform: re-addressed, digested
+    and bound once, then measured under every store behaviour that shares
+    the transform (store behaviours share the block size)."""
 
     program: Program
     layout: LayoutReport
@@ -220,43 +247,50 @@ class _Image:
     events: List[BoundEvent]
 
 
-def _image(
+def _walk_cell(
     stack: str,
     config: str,
-    technique: DataTechnique,
     *,
     engine: str,
     seed: int,
     opts: Optional[Section2Options],
-) -> _Image:
-    from repro.analysis.bounds import bind_digest, digest_trace
+) -> _Walked:
+    from repro.core.walker import DataSlots
     from repro.harness.configs import build_configured_program
     from repro.harness.experiment import Experiment, walk_events
 
-    block_size = technique.memory().block_size
-    # a fresh (uncached) build: the transform rewrites instruction lists
-    # in place, which must never happen to a shared cached BuildResult
-    build = build_configured_program(stack, config, opts)
-    layout = apply_data_layout(
-        build.program,
-        pack=technique.pack,
-        split=technique.split,
-        block_size=block_size,
-    )
+    # an uncached build: the process-wide build memo would keep every
+    # cell's build alive, and the grid holds one at a time
+    program = build_configured_program(stack, config, opts).program
     exp = Experiment(stack, config, opts, base_seed=seed)
     events, data_env = exp.capture_roundtrip(seed)
-    walk = walk_events(build.program, events, data_env, engine)
-    digest = digest_trace(walk.packed, build.program)
-    placements = {
-        name: build.program.address_of(name) for name in build.program.names()
-    }
+    slots = DataSlots()
+    walk = walk_events(program, events, data_env, engine, on_dref=slots.record)
+    return _Walked(
+        program=program,
+        survey=survey_data_refs(program),
+        walk=walk,
+        slots=slots,
+        placements={name: program.address_of(name) for name in program.names()},
+    )
+
+
+def _image(cell: _Walked, technique: DataTechnique) -> _Image:
+    from repro.analysis.bounds import bind_digest, digest_trace
+
+    block_size = technique.memory().block_size
+    plan = cell.survey.plan(
+        pack=technique.pack, split=technique.split, block_size=block_size
+    )
+    walk = readdress(cell.walk, cell.slots, plan.remaps)
+    digest = digest_trace(walk.packed, cell.program)
     return _Image(
-        program=build.program,
-        layout=layout,
+        program=cell.program,
+        layout=plan.report,
         walk=walk,
         digest=digest,
-        placements=placements,
-        events=bind_digest(digest, placements, block_bytes=block_size),
+        placements=cell.placements,
+        events=bind_digest(digest, cell.placements, block_bytes=block_size),
     )
 
 
@@ -319,8 +353,8 @@ def datalayout_cell(
 ) -> DatalayoutCell:
     """Measure one grid cell under one data technique."""
     validate_engine(engine)
-    image = _image(stack, config, technique, engine=engine, seed=seed, opts=opts)
-    return _measure_cell(image, stack, config, technique, engine)
+    cell = _walk_cell(stack, config, engine=engine, seed=seed, opts=opts)
+    return _measure_cell(_image(cell, technique), stack, config, technique, engine)
 
 
 def run_datalayout_study(
@@ -333,9 +367,10 @@ def run_datalayout_study(
 
     ``engine`` is the resolved engine name (:func:`repro.api.datalayout`
     resolves ``spec.engine`` against the settings).  Each (stack, config)
-    cell is built once per distinct layout transform
-    (:attr:`DataTechnique.layout`), and that image is measured under every
-    technique sharing the transform; one image is alive at a time.
+    cell is built and walked once; its walk is re-addressed once per
+    distinct layout transform (:attr:`DataTechnique.layout`), and that
+    image is measured under every technique sharing the transform.  One
+    build is alive at a time.
 
     Raises :class:`~repro.obs.attribution.AttributionMismatch` if any
     cell's attributed stalls diverge from the engine's measurement — a
@@ -357,15 +392,15 @@ def run_datalayout_study(
     measured: Dict[Tuple[str, str, str], DatalayoutCell] = {}
     for stack in spec.stacks:
         for config in spec.configs:
+            cell = _walk_cell(stack, config, engine=engine, seed=spec.seed, opts=opts)
             for sharing in by_layout.values():
-                image = _image(
-                    stack, config, sharing[0], engine=engine, seed=spec.seed, opts=opts
-                )
+                image = _image(cell, sharing[0])
                 for technique in sharing:
                     measured[(technique.name, stack, config)] = _measure_cell(
                         image, stack, config, technique, engine
                     )
-                del image  # released before the next is built: one alive at a time
+                del image
+            del cell  # released before the next is built: one alive at a time
 
     study = DatalayoutStudy(engine=engine, seed=spec.seed, techniques=names)
     study.cells = [

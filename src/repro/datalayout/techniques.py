@@ -6,7 +6,7 @@ A :class:`DataTechnique` bundles the two knobs the data-side study turns:
   stores (:attr:`write_coalescing`, :attr:`non_allocating_writes`), i.e.
   the fields added to :class:`repro.arch.memory.MemoryConfig`;
 * **layout transform** — how protocol state blocks are laid out
-  (:attr:`pack`, :attr:`split`), i.e. the rewrites of
+  (:attr:`pack`, :attr:`split`), i.e. the offset remaps planned by
   :mod:`repro.datalayout.transforms`.
 
 The registry :data:`DATA_TECHNIQUES` is the study's second axis, crossed

@@ -45,7 +45,7 @@ from repro.faults.guard import (
     compare_results,
 )
 from repro.faults.plan import FaultPlan, InjectedFault
-from repro.core.walker import Event, Walker, WalkResult, clone_events
+from repro.core.walker import DrefHook, Event, Walker, WalkResult, clone_events
 from repro.harness.configs import (
     BuildResult,
     build_configured_program,
@@ -118,12 +118,15 @@ def walk_events(
     events: Sequence[Event],
     data_env: Mapping[str, int],
     engine: str,
+    *,
+    on_dref: Optional[DrefHook] = None,
 ) -> WalkResult:
     """Expand ``events`` over ``program`` with ``engine``'s walker: the
     template-rebinding :class:`FastWalker` on "fast", the oracle
-    :class:`Walker` on "reference"; both give the same trace."""
+    :class:`Walker` on "reference"; both give the same trace and make the
+    same ``on_dref`` calls (e.g. :meth:`DataSlots.record`)."""
     walker = FastWalker if engine == "fast" else Walker
-    return walker(program, data_env).walk(events)
+    return walker(program, data_env).walk(events, on_dref=on_dref)
 
 
 def simulate_walk(

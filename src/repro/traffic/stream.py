@@ -67,19 +67,23 @@ class StreamExactnessError(RuntimeError):
     """
 
 
-def make_stream_machine(engine: str, config: Optional[AlphaConfig] = None):
-    """A persistent machine for stream simulation.
+def check_stream_engine(engine: str) -> None:
+    """Refuse an engine streams cannot run on: the reference engine has
+    no packed-segment pass, and the refusal points at the oracle tests
+    that cover it."""
+    if engine != "fast":
+        raise ValueError(
+            "traffic streaming needs the packed-segment fast engine, "
+            f"got {engine!r}; the reference engine is exercised by the oracle "
+            "tests in tests/traffic instead"
+        )
 
-    The reference engine has no packed-segment pass and is refused with
-    a pointer at the oracle tests that cover it.
-    """
-    if engine == "fast":
-        return FastMachine(config)
-    raise ValueError(
-        "traffic streaming needs the packed-segment fast engine, "
-        f"got {engine!r}; the reference engine is exercised by the oracle "
-        "tests in tests/traffic instead"
-    )
+
+def make_stream_machine(engine: str, config: Optional[AlphaConfig] = None):
+    """A persistent machine for stream simulation on ``engine``
+    (:func:`check_stream_engine`)."""
+    check_stream_engine(engine)
+    return FastMachine(config)
 
 
 class TransitionStream:

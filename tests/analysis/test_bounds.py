@@ -582,18 +582,17 @@ class TestCells:
         """Every grid cell's full bounds; the grid's output carries only
         the steady totals."""
         from repro.api.spec import SPEC_STACKS
-        from repro.datalayout.study import _image
+        from repro.datalayout.study import _image, _walk_cell
         from repro.datalayout.techniques import DATA_TECHNIQUES
 
         digest = hashlib.sha256()
         for stack in SPEC_STACKS:
             for config in CONFIG_NAMES:
+                cell = _walk_cell(stack, config, engine="fast", seed=42, opts=None)
                 images = {}
                 for technique in DATA_TECHNIQUES.values():
                     if technique.layout not in images:
-                        images[technique.layout] = _image(
-                            stack, config, technique, engine="fast", seed=42, opts=None
-                        )
+                        images[technique.layout] = _image(cell, technique)
                     image = images[technique.layout]
                     bounds = bounds_from_digest(
                         image.digest,

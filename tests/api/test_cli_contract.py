@@ -152,6 +152,14 @@ BAD_VALUES = [
     (["traffic", "tcpip", "OUT", "--packets", "100"], "warmup_packets"),
     (["resilience", "tcpip", "OUT", "--loads", "0"], "load"),
     (["resilience", "tcpip", "OUT", "--queue-capacity", "0"], "queue_capacity"),
+    (["traffic", "tcpip", "OUT", "--schemes", "bogus"], "'bogus'"),
+    (["resilience", "tcpip", "OUT", "--schemes", "lru:4", "bogus"], "'bogus'"),
+    (["traffic", "tcpip", "OUT", "--engine", "reference"], "'reference'"),
+    (["resilience", "tcpip", "OUT", "--engine", "reference"], "'reference'"),
+    (
+        ["search", "tcpip", "CLO", "--budget", "2", "--check", "/nonexistent.json"],
+        "/nonexistent.json",
+    ),
 ]
 
 
@@ -165,6 +173,39 @@ def test_a_bad_value_is_a_usage_error(argv, named, facade, capsys):
     errors = [line for line in err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and named in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["traffic", "resilience"])
+def test_a_stream_engine_from_the_environment_is_a_usage_error(
+    verb, facade, capsys, monkeypatch
+):
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+    with pytest.raises(SystemExit) as exited:
+        main([verb, "tcpip", "OUT"])
+    assert exited.value.code == 2
+    assert facade.specs == []
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and "packed-segment fast engine" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content", ["", "{not json", '{"stack": "tcpip"}', '["tcpip"]']
+)
+def test_an_unreadable_search_artifact_is_refused_before_the_search(
+    content, tmp_path, facade, capsys
+):
+    path = tmp_path / "artifact.json"
+    path.write_text(content)
+    with pytest.raises(SystemExit) as exited:
+        main(["search", "tcpip", "CLO", "--budget", "2", "--check", str(path)])
+    assert exited.value.code == 2
+    assert facade.specs == []  # no search ran
+    errors = [
+        line for line in capsys.readouterr().err.splitlines() if ": error: " in line
+    ]
+    assert len(errors) == 1 and "--check" in errors[0]
 
 
 def _readme_commands():

@@ -11,8 +11,8 @@ import pytest
 from repro.arch.simcache import simulate_cold_and_steady_cached
 from repro.arch.simulator import AlphaConfig, MachineSimulator
 from repro.core.fastwalk import FastWalker
-from repro.core.walker import clone_events
-from repro.datalayout import DATA_TECHNIQUES
+from repro.core.walker import DataSlots
+from repro.datalayout import DATA_TECHNIQUES, readdress, survey_data_refs
 from repro.harness.configs import CONFIG_NAMES, build_configured_program
 from repro.harness.experiment import Experiment
 
@@ -22,26 +22,24 @@ STORE_MODES = ("coalesce", "stream", "all")
 
 @pytest.fixture(scope="module")
 def walks():
-    """One layout-transformed walked roundtrip per (technique, cell)."""
-    from repro.datalayout.transforms import apply_data_layout
-
+    """One layout-transformed walked roundtrip per (technique, cell), as
+    the grid makes them: one walk per cell, re-addressed per layout."""
     out = {}
-    for name in STORE_MODES:
-        technique = DATA_TECHNIQUES[name]
-        for stack, config in CELLS:
-            # a fresh build per cell: the transform mutates the program
-            build = build_configured_program(stack, config, None)
-            apply_data_layout(
-                build.program,
+    for stack, config in CELLS:
+        program = build_configured_program(stack, config, None).program
+        survey = survey_data_refs(program)
+        exp = Experiment(stack, config, base_seed=42)
+        events, data_env = exp.capture_roundtrip(42)
+        slots = DataSlots()
+        walk = FastWalker(program, dict(data_env)).walk(events, on_dref=slots.record)
+        for name in STORE_MODES:
+            technique = DATA_TECHNIQUES[name]
+            plan = survey.plan(
                 pack=technique.pack,
                 split=technique.split,
                 block_size=technique.memory().block_size,
             )
-            exp = Experiment(stack, config, base_seed=42)
-            events, data_env = exp.capture_roundtrip(42)
-            out[(name, stack, config)] = FastWalker(
-                build.program, dict(data_env)
-            ).walk(clone_events(events))
+            out[(name, stack, config)] = readdress(walk, slots, plan.remaps)
     return out
 
 

@@ -13,6 +13,7 @@ from repro.datalayout import (
     apply_data_layout,
     datalayout_cell,
     run_datalayout_study,
+    survey_data_refs,
 )
 from repro.harness.configs import build_configured_program
 from repro.harness.experiment import Experiment
@@ -129,12 +130,12 @@ class TestAttributionPasses:
         [(_measures, (_cold, steady))] = sinks.values()
 
         build = build_configured_program("tcpip", "STD", None)
-        apply_data_layout(
-            build.program,
+        plan = survey_data_refs(build.program).plan(
             pack=technique.pack,
             split=technique.split,
             block_size=technique.memory().block_size,
         )
+        apply_data_layout(build.program, plan.remaps)
         events, data_env = Experiment("tcpip", "STD").capture_roundtrip(42)
         walk = FastWalker(build.program, dict(data_env)).walk(clone_events(events))
         config = AlphaConfig(memory=technique.memory())

@@ -6,7 +6,7 @@ from repro.datalayout.transforms import (
     EXCLUDED_REGIONS,
     PACK_GAP,
     apply_data_layout,
-    region_remaps,
+    survey_data_refs,
 )
 from repro.harness.configs import build_configured_program
 
@@ -17,6 +17,13 @@ BLOCK = 32
 def build():
     """A fresh (mutable) tcpip/STD build per test."""
     return build_configured_program("tcpip", "STD", None)
+
+
+def region_remaps(program, *, pack, split, block_size):
+    """(remaps, region -> RegionLayout, skipped) of one planned transform."""
+    plan = survey_data_refs(program).plan(pack=pack, split=split, block_size=block_size)
+    layouts = {r.region: r for r in plan.report.regions}
+    return plan.remaps, layouts, plan.report.skipped
 
 
 def survey_offsets(program):
@@ -99,16 +106,17 @@ class TestRegionRemaps:
 class TestApplyDataLayout:
     def test_noop_without_either_transform(self, build):
         before, _, _ = survey_offsets(build.program)
-        report = apply_data_layout(build.program)
-        assert report.rewritten == 0
-        assert report.bytes_saved == 0
+        plan = survey_data_refs(build.program).plan()
+        assert plan.remaps == {}
+        assert plan.report.rewritten == 0
+        assert plan.report.bytes_saved == 0
+        assert apply_data_layout(build.program, plan.remaps) == 0
         after, _, _ = survey_offsets(build.program)
         assert after == before
 
     def test_rewrite_counts_moved_refs_only(self, build):
-        remaps, _, _ = region_remaps(
-            build.program, pack=True, split=False, block_size=BLOCK
-        )
+        plan = survey_data_refs(build.program).plan(pack=True, block_size=BLOCK)
+        remaps = plan.remaps
         moved = sum(
             1
             for fn in build.program.functions()
@@ -119,16 +127,20 @@ class TestApplyDataLayout:
             and ins.dref.region in remaps
             and remaps[ins.dref.region][ins.dref.offset] != ins.dref.offset
         )
-        report = apply_data_layout(build.program, pack=True)
-        assert report.rewritten == moved
-        assert report.bytes_saved > 0
+        # the plan counts what the rewrite moves without rewriting anything
+        assert plan.report.rewritten == moved
+        assert apply_data_layout(build.program, remaps) == moved
+        assert plan.report.bytes_saved > 0
 
     def test_instruction_counts_survive_the_rewrite(self, build):
         before = {
             fn.name: sum(len(blk.instructions) for blk in fn.blocks)
             for fn in build.program.functions()
         }
-        apply_data_layout(build.program, pack=True, split=True)
+        plan = survey_data_refs(build.program).plan(
+            pack=True, split=True, block_size=BLOCK
+        )
+        apply_data_layout(build.program, plan.remaps)
         after = {
             fn.name: sum(len(blk.instructions) for blk in fn.blocks)
             for fn in build.program.functions()
@@ -136,8 +148,9 @@ class TestApplyDataLayout:
         assert after == before
 
     def test_packing_is_idempotent(self, build):
-        first = apply_data_layout(build.program, pack=True)
-        assert first.rewritten > 0
-        again = apply_data_layout(build.program, pack=True)
-        assert again.rewritten == 0
-        assert again.bytes_saved == 0
+        first = survey_data_refs(build.program).plan(pack=True, block_size=BLOCK)
+        assert apply_data_layout(build.program, first.remaps) > 0
+        again = survey_data_refs(build.program).plan(pack=True, block_size=BLOCK)
+        assert again.report.rewritten == 0
+        assert again.report.bytes_saved == 0
+        assert apply_data_layout(build.program, again.remaps) == 0

@@ -18,8 +18,8 @@ import pytest
 from repro.arch.fastsim import FastMachine
 from repro.arch.simulator import AlphaConfig, MachineSimulator
 from repro.core.fastwalk import FastWalker
-from repro.core.walker import clone_events
-from repro.datalayout import DATA_TECHNIQUES, apply_data_layout
+from repro.core.walker import DataSlots
+from repro.datalayout import DATA_TECHNIQUES, readdress, survey_data_refs
 from repro.harness.configs import CONFIG_NAMES, build_configured_program
 from repro.harness.experiment import Experiment
 from repro.obs import Attribution
@@ -131,18 +131,20 @@ CELLS = sorted(DIGESTS)
 def images():
     """(program, walk) per (technique, stack, config), as the grid builds them."""
     out = {}
-    for name, stack, config in CELLS:
-        technique = DATA_TECHNIQUES[name]
-        build = build_configured_program(stack, config, None)
-        apply_data_layout(
-            build.program,
-            pack=technique.pack,
-            split=technique.split,
-            block_size=technique.memory().block_size,
-        )
+    for stack, config in sorted({(stack, config) for _, stack, config in CELLS}):
+        program = build_configured_program(stack, config, None).program
+        survey = survey_data_refs(program)
         events, data_env = Experiment(stack, config).capture_roundtrip(42)
-        walk = FastWalker(build.program, dict(data_env)).walk(clone_events(events))
-        out[(name, stack, config)] = (build.program, walk)
+        slots = DataSlots()
+        walk = FastWalker(program, dict(data_env)).walk(events, on_dref=slots.record)
+        for name in ("baseline", "all"):
+            technique = DATA_TECHNIQUES[name]
+            plan = survey.plan(
+                pack=technique.pack,
+                split=technique.split,
+                block_size=technique.memory().block_size,
+            )
+            out[(name, stack, config)] = (program, readdress(walk, slots, plan.remaps))
     return out
 
 
