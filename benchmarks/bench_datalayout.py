@@ -5,7 +5,7 @@ Produces ``BENCH_datalayout.json`` (repo root) with the full data-side
 technique grid of :mod:`repro.datalayout`: every registered technique
 (store coalescing, non-allocating writes, field packing, hot/cold
 splitting, and their union) measured over the paper's 12 (stack x
-configuration) cells, with per-cell write-buffer/d-cache attribution and
+configuration) cells, with per-cell write-buffer/d-cache stall counts and
 static steady-state bounds under the same store behaviour.
 
 The ``grid`` section deliberately omits the engine that produced it: the

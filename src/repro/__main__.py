@@ -82,19 +82,20 @@ def _stream_flags(parser, mixes) -> None:
                              "probability")
 
 
-def _stream_engine(parser, flags) -> None:
-    """Refuse, as a usage error, an engine the stream verbs cannot run.
-
-    ``--engine`` offers only fast; ``$REPRO_SIM_ENGINE`` is held to the
-    same rule here, before any work, rather than once the stream starts.
-    """
+def _parse(parser, argv, check=None):
+    """Parse ``argv``, then resolve the engine (``--engine`` or
+    ``$REPRO_SIM_ENGINE``) before any work: an unknown engine, or one
+    the verb's ``check`` refuses, is a usage error."""
     from repro.api import Settings
-    from repro.traffic.stream import check_stream_engine
 
+    flags = vars(parser.parse_args(argv))
     try:
-        check_stream_engine(Settings.from_env(engine=flags.get("engine")).engine)
+        engine = Settings.from_env(engine=flags.get("engine")).engine
+        if check is not None:
+            check(engine)
     except ValueError as exc:
         parser.error(str(exc))
+    return flags
 
 
 def _typed(flags, *names):
@@ -169,7 +170,7 @@ def profile_main(argv=None) -> int:
     )
     parser.add_argument("--top", type=int,
                         help="rows in the function/conflict listings")
-    flags = vars(parser.parse_args(argv))
+    flags = _parse(parser, argv)
 
     from repro import api
 
@@ -212,7 +213,7 @@ def analyze_main(argv=None) -> int:
                              "against the selected engine")
     parser.add_argument("--show-prediction", action="store_true",
                         help="print the predicted conflict pairs per cell")
-    flags = vars(parser.parse_args(argv))
+    flags = _parse(parser, argv)
 
     from repro import api
     from repro.analysis import render_prediction
@@ -266,7 +267,7 @@ def faults_main(argv=None) -> int:
     parser.add_argument("--samples", type=int,
                         help="samples per configuration (default: the "
                              "paper's 10 for TCP/IP, 5 for RPC)")
-    flags = vars(parser.parse_args(argv))
+    flags = _parse(parser, argv)
 
     from repro import api
 
@@ -309,7 +310,7 @@ def search_main(argv=None) -> int:
                         help="compare against a recorded artifact: exit "
                              "nonzero unless this search reproduces its "
                              "best score bit-for-bit")
-    flags = vars(parser.parse_args(argv))
+    flags = _parse(parser, argv)
 
     from repro import api
     from repro.search import LayoutArtifact
@@ -354,6 +355,7 @@ def search_main(argv=None) -> int:
 def traffic_main(argv=None) -> int:
     """``python -m repro traffic``: million-flow demux-cache study."""
     from repro.traffic import MIXES, STACKS, TrafficSpec
+    from repro.traffic.stream import check_stream_engine
 
     parser = _parser(
         "traffic",
@@ -385,8 +387,7 @@ def traffic_main(argv=None) -> int:
                         help="RPC share of the mixed population")
     parser.add_argument("--zipf-s", type=float,
                         help="Zipf skew of the flow popularity ranking")
-    flags = vars(parser.parse_args(argv))
-    _stream_engine(parser, flags)
+    flags = _parse(parser, argv, check_stream_engine)
 
     from repro import api
 
@@ -401,6 +402,7 @@ def resilience_main(argv=None) -> int:
     """``python -m repro resilience``: faulted streams under offered load."""
     from repro.resilience import POLICIES, SCOPES, OverloadSpec
     from repro.traffic import MIXES, STACKS, TrafficSpec
+    from repro.traffic.stream import check_stream_engine
 
     parser = _parser(
         "resilience",
@@ -445,8 +447,7 @@ def resilience_main(argv=None) -> int:
                         help="ingress admission policy")
     parser.add_argument("--parallel", action="store_true",
                         help="run grid cells on the self-healing pool")
-    flags = vars(parser.parse_args(argv))
-    _stream_engine(parser, flags)
+    flags = _parse(parser, argv, check_stream_engine)
 
     from repro import api
 
@@ -466,7 +467,7 @@ def datalayout_main(argv=None) -> int:
         "datalayout",
         "Measure the data-side techniques (store coalescing, non-allocating "
         "writes, field packing, hot/cold splitting) over the paper's 12 "
-        "(stack, configuration) cells, attributing the write-buffer and "
+        "(stack, configuration) cells, counting the write-buffer and "
         "d-cache stalls and bracketing every cell with static bounds under "
         "the same store behaviour.",
         engine_help="simulation engine (default: $REPRO_SIM_ENGINE or fast; "
@@ -480,7 +481,7 @@ def datalayout_main(argv=None) -> int:
                              "baseline is always included)")
     parser.add_argument("--stacks", nargs="+", choices=list(SPEC_STACKS))
     parser.add_argument("--configs", nargs="+", choices=list(SPEC_CONFIGS))
-    flags = vars(parser.parse_args(argv))
+    flags = _parse(parser, argv)
 
     from repro import api
 
@@ -521,7 +522,7 @@ def main(argv=None) -> int:
                         default="both")
     parser.add_argument("--tables", nargs="*", type=int,
                         help="subset of table numbers (1-9)")
-    flags = vars(parser.parse_args(argv))
+    flags = _parse(parser, argv)
 
     wanted = set(flags.get("tables") or range(1, 10))
     stacks = ["tcpip", "rpc"] if flags["stack"] == "both" else [flags["stack"]]
@@ -530,8 +531,8 @@ def main(argv=None) -> int:
     from repro.api import Settings
     from repro.harness import reporting, tables
 
-    # the environment is read exactly once; everything below threads
-    # these settings explicitly
+    # _parse has checked the environment; everything below threads these
+    # settings explicitly
     settings = Settings.from_env(engine=flags.get("engine"))
 
     def emit(text: str) -> None:

@@ -41,7 +41,7 @@ protocol (``.to_json()``, ``.render()``, ``.check()``)::
   fault-free sweep (:mod:`repro.faults`),
 * :func:`datalayout` runs the data-techniques × code-techniques grid of
   :mod:`repro.datalayout` — store behaviours and data-layout transforms
-  over all 12 cells, attribution- and bounds-checked.
+  over all 12 cells, with counted stalls and bounds checks.
 
 ``sweep``, ``search`` and ``analyze`` also accept a bare
 :class:`RunSpec` (a sequence of them for ``sweep``) as shorthand for the
@@ -363,8 +363,9 @@ def datalayout(
 
     Measures every :data:`repro.datalayout.DATA_TECHNIQUES` entry (store
     behaviours × layout transforms) over the spec's (stack, config)
-    cells, with each cell attribution-verified against the engine and
-    bracketed by the static bounds under the same store behaviour.  The
+    cells, counting each cell's write-buffer and d-cache stalls from the
+    engine's runs and bracketing it by the static bounds under the same
+    store behaviour.  The
     engines are bit-identical, so equal specs produce byte-identical
     tables on ``fast`` and ``reference`` (a CI golden gate diffs the
     fast run against the committed table).

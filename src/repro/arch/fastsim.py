@@ -72,6 +72,12 @@ _MUL_CODE = OP_CODES[Op.MUL]
 #: the (resident, i_ever, d_ever, b_ever) token parts of a cold machine
 _COLD_SETS = (frozenset(), frozenset(), frozenset(), frozenset())
 
+#: length of the kernel's counter layout (``FastMachine._c`` and each
+#: :meth:`FastMachine.mem_delta`): i_acc, i_miss, i_repl, d_acc, d_miss,
+#: d_repl, b_acc, b_miss, b_repl, wb_acc, wb_miss, stall, instructions,
+#: sb_hits, wb_evictions, forwards
+N_COUNTERS = 16
+
 
 def as_packed(trace: Traceable) -> PackedTrace:
     if isinstance(trace, PackedTrace):
@@ -265,10 +271,7 @@ class FastMachine:
         self._wb_pairs: dict = {}       # coalescing: pair id -> blocks
         self._sb_block = -1
         self._sb_was_miss = False
-        # counters: [i_acc, i_miss, i_repl, d_acc, d_miss, d_repl,
-        #            b_acc, b_miss, b_repl, wb_acc, wb_miss,
-        #            stall, instructions, sb_hits, wb_evictions]
-        self._c = [0] * 15
+        self._c = [0] * N_COUNTERS
         # the set parts (resident, i_ever, d_ever, b_ever) of the last
         # token this machine made or restored, and its b-miss count then
         self._held = _COLD_SETS
@@ -290,6 +293,8 @@ class FastMachine:
             instructions=c[12],
             stream_buffer_hits=c[13],
             write_buffer_evictions=c[14],
+            dcache_read_misses=c[4],
+            write_buffer_forwards=c[15],
         )
 
     @property
@@ -348,7 +353,7 @@ class FastMachine:
 
         (i_acc, i_miss, i_repl, d_acc, d_miss, d_repl,
          b_acc, b_miss, b_repl, wb_acc, wb_miss,
-         stall, instructions, sb_hits, wb_evict) = self._c
+         stall, instructions, sb_hits, wb_evict, fwds) = self._c
 
         if track:
             ever_sizes = (len(i_ever), len(d_ever), len(b_ever))
@@ -461,6 +466,7 @@ class FastMachine:
                         dtags[idx] = d
                         d_ever_add(d)
                         if d in wb_set:
+                            fwds += 1
                             stall += fwd
                             served = FORWARD
                         else:
@@ -532,7 +538,7 @@ class FastMachine:
         self._sb_was_miss = sb_was_miss
         self._c = [i_acc, i_miss, i_repl, d_acc, d_miss, d_repl,
                    b_acc, b_miss, b_repl, wb_acc, wb_miss,
-                   stall, instructions, sb_hits, wb_evict]
+                   stall, instructions, sb_hits, wb_evict, fwds]
 
         if not track:
             return False
@@ -663,7 +669,7 @@ class FastMachine:
             self.sink.observe_pass(packed, log, measure=False)
 
     def mem_delta(self, trace: Traceable) -> List[int]:
-        """One raw memory pass, returning the 15-counter delta.
+        """One raw memory pass, returning its :data:`N_COUNTERS` delta.
 
         The streaming traffic engine sums these deltas itself (scaled by
         how often each transition fires), so it wants the counters rather

@@ -92,7 +92,9 @@ class MemoryConfig:
 class MemoryStats:
     """Aggregated counters; ``dcache`` merges d-cache reads and buffered
     writes exactly the way Table 6's middle columns do (a merged write
-    counts like a hit, a write that reached the b-cache counts as a miss).
+    counts like a hit, a write that reached the b-cache counts as a miss);
+    ``dcache_read_misses`` keeps the reads apart, and
+    ``write_buffer_forwards`` counts those store->load forwarding served.
     """
 
     icache: CacheStats = field(default_factory=CacheStats)
@@ -102,10 +104,28 @@ class MemoryStats:
     instructions: int = 0
     stream_buffer_hits: int = 0
     write_buffer_evictions: int = 0
+    dcache_read_misses: int = 0
+    write_buffer_forwards: int = 0
 
     @property
     def mcpi(self) -> float:
         return self.stall_cycles / self.instructions if self.instructions else 0.0
+
+    def write_buffer_stalls(self, config: MemoryConfig) -> int:
+        """Stall cycles the write buffer charged: a drain per forwarded
+        read, a retirement per overflow (attribution's ``write-buffer``)."""
+        return (
+            config.write_forward_cycles * self.write_buffer_forwards
+            + config.write_buffer_full_cycles * self.write_buffer_evictions
+        )
+
+    def dcache_stalls(self, config: MemoryConfig) -> int:
+        """Stall cycles charged to the d-cache: the b-cache hit latency of
+        each read miss the write buffer did not serve (attribution's
+        ``dcache``; a b-cache miss's remainder is the b-cache's)."""
+        return config.bcache_hit_cycles * (
+            self.dcache_read_misses - self.write_buffer_forwards
+        )
 
     def snapshot(self) -> "MemoryStats":
         return MemoryStats(
@@ -116,6 +136,8 @@ class MemoryStats:
             self.instructions,
             self.stream_buffer_hits,
             self.write_buffer_evictions,
+            self.dcache_read_misses,
+            self.write_buffer_forwards,
         )
 
     def delta(self, earlier: "MemoryStats") -> "MemoryStats":
@@ -128,6 +150,8 @@ class MemoryStats:
             self.instructions - earlier.instructions,
             self.stream_buffer_hits - earlier.stream_buffer_hits,
             self.write_buffer_evictions - earlier.write_buffer_evictions,
+            self.dcache_read_misses - earlier.dcache_read_misses,
+            self.write_buffer_forwards - earlier.write_buffer_forwards,
         )
 
 
@@ -158,6 +182,7 @@ class MemoryHierarchy:
         self.stream_buffer = StreamBuffer(cfg.block_size)
         self._stall_cycles = 0
         self._instructions = 0
+        self._forwards = 0
         self.log: Optional[list] = None
 
     # ------------------------------------------------------------------ #
@@ -182,6 +207,8 @@ class MemoryHierarchy:
             instructions=self._instructions,
             stream_buffer_hits=self.stream_buffer.hits,
             write_buffer_evictions=self.write_buffer.evictions,
+            dcache_read_misses=reads.misses,
+            write_buffer_forwards=self._forwards,
         )
 
     # ------------------------------------------------------------------ #
@@ -213,9 +240,10 @@ class MemoryHierarchy:
         self.stream_buffer.reset()
         self._stall_cycles = 0
         self._instructions = 0
+        self._forwards = 0
 
     # ------------------------------------------------------------------ #
-    # internals                                                          #
+    # internals                                                         #
     # ------------------------------------------------------------------ #
 
     def _bcache(self, addr: int) -> Tuple[str, int]:
@@ -265,6 +293,7 @@ class MemoryHierarchy:
         # forwarding); the pending store has to drain first, so this is
         # nearly as expensive as the b-cache access it avoids.
         if self.write_buffer.contains(addr):
+            self._forwards += 1
             served, stall = FORWARD, self.config.write_forward_cycles
         else:
             served, stall = self._bcache(addr)

@@ -14,8 +14,9 @@ tcp/ip, ~1005 on rpc) that none of the code techniques move.  It bundles
   :class:`repro.arch.memory.MemoryConfig` (write coalescing,
   non-allocating stores), and
 * the grid study (:mod:`repro.datalayout.study`) measuring every data
-  technique over all 12 (stack × configuration) cells with attribution
-  and static-bounds cross-checks.
+  technique over all 12 (stack × configuration) cells, counting each
+  cell's write-buffer and d-cache stalls and cross-checking it with
+  static bounds.
 """
 
 from repro.datalayout.techniques import (

@@ -13,12 +13,14 @@ under the plan one survey of the build yields
 (:meth:`~repro.datalayout.transforms.DataSurvey.plan`).  The images share
 the walk's pcs, ops and flags with their derived caches, and no program is
 ever rewritten.  Each image is digested and bound once; each technique's
-store behaviour is then measured on it by one attributed machine of the
-chosen engine (a cold run, one warm-up, a steady run; the
-:class:`~repro.obs.attribution.Attribution` sink classifies the engine's
-own decision log and its totals are checked against the engine's), and
+store behaviour is then measured on it by the chosen engine's cold and
+steady runs (:func:`~repro.harness.experiment.simulate_walk`), and
 bracketed by the abstract-interpretation bounds of
-:mod:`repro.analysis.bounds` under the same store behaviour.
+:mod:`repro.analysis.bounds` under the same store behaviour.  Its
+write-buffer and d-cache stalls are counted, not attributed: the runs'
+counters price them (:class:`~repro.arch.memory.MemoryStats`) exactly as
+an :class:`~repro.obs.attribution.Attribution` sink charges them, the
+tests' oracle.
 
 All engines are bit-identical, so the study's numbers are
 engine-independent (the differential tests hold fast against the
@@ -67,7 +69,8 @@ class DatalayoutCell:
     instructions: int
     cold_stalls: int
     steady_stalls: int
-    #: write-buffer / d-cache attribution buckets of the steady pass
+    #: write-buffer stalls of the cold and steady runs, d-cache stalls of
+    #: the steady run: counted, and equal to the attribution's buckets
     wb_cold: int
     wb_steady: int
     dcache_steady: int
@@ -205,8 +208,9 @@ class DatalayoutStudy:
         return "\n".join(lines) + "\n"
 
     def check(self) -> List[str]:
-        """Bounds soundness per cell (attribution is already engine-checked
-        at construction — an unsound bound is the only silent failure)."""
+        """Bounds soundness and cold-bound exactness per cell (the stall
+        counts are the engine's own; the tests hold them to the attribution
+        oracle)."""
         return [
             f"{c.stack}/{c.config}/{c.technique}: steady stalls "
             f"{c.steady_stalls} outside bounds "
@@ -238,7 +242,6 @@ class _Image:
     and bound once, then measured under every store behaviour that shares
     the transform (store behaviours share the block size)."""
 
-    program: Program
     layout: LayoutReport
     walk: WalkResult
     digest: TraceDigest
@@ -285,7 +288,6 @@ def _image(cell: _Walked, technique: DataTechnique) -> _Image:
     walk = readdress(cell.walk, cell.slots, plan.remaps)
     digest = digest_trace(walk.packed, cell.program)
     return _Image(
-        program=cell.program,
         layout=plan.report,
         walk=walk,
         digest=digest,
@@ -301,16 +303,15 @@ def _measure_cell(
     technique: DataTechnique,
     engine: str,
 ) -> DatalayoutCell:
-    """Measure one technique's store behaviour on its layout's image: one
-    attributed machine, run cold, warmed up once, then run steady."""
+    """Measure one technique's store behaviour on its layout's image: the
+    engine's cold and steady runs, whose counts price the write-buffer and
+    d-cache stalls."""
     from repro.analysis.bounds import bounds_from_digest
     from repro.arch.simulator import AlphaConfig
-    from repro.harness.profile import attribute_passes
+    from repro.harness.experiment import simulate_walk
 
     mem = technique.memory()
-    cold, cold_report, steady, steady_report = attribute_passes(
-        image.walk, image.program, engine=engine, config=AlphaConfig(memory=mem)
-    )
+    cold, steady = simulate_walk(image.walk, engine, AlphaConfig(memory=mem))
 
     bounds = bounds_from_digest(
         image.digest,
@@ -329,9 +330,9 @@ def _measure_cell(
         instructions=steady.instructions,
         cold_stalls=cold_stalls,
         steady_stalls=steady.memory.stall_cycles,
-        wb_cold=cold_report.by_cache()["write-buffer"],
-        wb_steady=steady_report.by_cache()["write-buffer"],
-        dcache_steady=steady_report.by_cache()["dcache"],
+        wb_cold=cold.memory.write_buffer_stalls(mem),
+        wb_steady=steady.memory.write_buffer_stalls(mem),
+        dcache_steady=steady.memory.dcache_stalls(mem),
         bytes_saved=image.layout.bytes_saved,
         refs_rewritten=image.layout.rewritten,
         steady_lower=bounds.steady.lower_stalls,
@@ -370,11 +371,7 @@ def run_datalayout_study(
     cell is built and walked once; its walk is re-addressed once per
     distinct layout transform (:attr:`DataTechnique.layout`), and that
     image is measured under every technique sharing the transform.  One
-    build is alive at a time.
-
-    Raises :class:`~repro.obs.attribution.AttributionMismatch` if any
-    cell's attributed stalls diverge from the engine's measurement — a
-    completed study carries the invariant for every cell it holds.
+    build is alive at a time.  No cell attaches an attribution sink.
     """
     validate_engine(engine)
     names = tuple(spec.techniques if spec.techniques is not None else DATA_TECHNIQUES)

@@ -47,9 +47,9 @@ from collections import Counter, OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.arch.simulator import AlphaConfig
-from repro.arch.fastsim import FastMachine
+from repro.arch.fastsim import N_COUNTERS, FastMachine
 
-#: counter indices in the fast engine's 15-counter delta layout
+#: counter indices in the fast engine's delta layout (:data:`N_COUNTERS`)
 STALL = 11
 INSTRUCTIONS = 12
 
@@ -90,7 +90,7 @@ class TransitionStream:
     """Exact streaming over one persistent machine via edge memoization.
 
     ``feed(key, packed_fn)`` advances the logical stream by one segment
-    and returns the segment's exact 15-counter delta.  ``packed_fn(key)``
+    and returns the segment's exact counter delta.  ``packed_fn(key)``
     is called only when the edge is novel (or the stream is degraded),
     so one callback serves a whole stream and the segment library walks
     lazily.  ``start_phase`` opens a new counting window (warm-up vs
@@ -164,7 +164,7 @@ class TransitionStream:
         # bounded: one entry per phase (warmup/steady)
         self._phases: Dict[str, Tuple[List[int], Counter]] = {}
         self._open: Optional[str] = None
-        self._base: List[int] = [0] * 15
+        self._base: List[int] = [0] * N_COUNTERS
         # bounded: the segment library's variant alphabet
         self._base_segs: Counter = Counter()
 
@@ -177,7 +177,7 @@ class TransitionStream:
         base totals, and open ``name``."""
         for edge, record in self._edges.items():
             self._fold(edge, record)
-        self._base = [0] * 15
+        self._base = [0] * N_COUNTERS
         # bounded: the segment library's variant alphabet
         self._base_segs = Counter()
         self._phases[name] = (self._base, self._base_segs)
@@ -190,7 +190,7 @@ class TransitionStream:
         if packets:
             delta = record[1]
             base = self._base
-            for i in range(15):
+            for i in range(N_COUNTERS):
                 base[i] += packets * delta[i]
             self._base_segs[edge[1]] += packets
             record[2] = 0
@@ -268,7 +268,7 @@ class TransitionStream:
         if self._cur == _DEGRADED:
             delta = tuple(self._m.mem_delta(packed_fn(key)))
             base = self._base
-            for i in range(15):
+            for i in range(N_COUNTERS):
                 base[i] += delta[i]
             self._base_segs[edge[1]] += 1
             return delta
@@ -354,7 +354,7 @@ class TransitionStream:
         return len(self._seg_keys)
 
     def phase_counters(self, name: str) -> List[int]:
-        """The 15-counter total the machine would have accumulated over
+        """The counter total the machine would have accumulated over
         the phase's segments: base totals (evicted edges, closed phases'
         folds, degraded-mode passes) plus, for the open phase, packets x
         delta over the live edges."""
@@ -362,7 +362,7 @@ class TransitionStream:
         totals = list(base)
         if name == self._open:
             for _next_id, delta, packets in self._edges.values():
-                for i in range(15):
+                for i in range(N_COUNTERS):
                     totals[i] += packets * delta[i]
         return totals
 

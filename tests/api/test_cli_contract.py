@@ -175,19 +175,28 @@ def test_a_bad_value_is_a_usage_error(argv, named, facade, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("verb", ["traffic", "resilience"])
+@pytest.mark.parametrize("verb", [*TYPED, "tables"])
 def test_a_stream_engine_from_the_environment_is_a_usage_error(
     verb, facade, capsys, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-    with pytest.raises(SystemExit) as exited:
-        main([verb, "tcpip", "OUT"])
-    assert exited.value.code == 2
-    assert facade.specs == []
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if ": error: " in line]
-    assert len(errors) == 1 and "packed-segment fast engine" in errors[0]
-    assert "Traceback" not in err
+    """An engine from ``$REPRO_SIM_ENGINE`` that a verb cannot run (an
+    unknown one on every verb and the table driver, the reference engine
+    on the stream verbs) is refused before any work."""
+    argv = [] if verb == "tables" else [verb, *TYPED[verb]]
+    refused = {"bogus": "unknown simulation engine 'bogus'"}
+    if verb in ("traffic", "resilience"):
+        refused["reference"] = "packed-segment fast engine"
+    for engine, named in refused.items():
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2, engine
+        assert facade.specs == []
+        out, err = capsys.readouterr()
+        assert out == ""  # no table or report was made
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and named in errors[0]
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

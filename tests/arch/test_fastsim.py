@@ -7,10 +7,13 @@ differential tests that hold the fast engine to that contract.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.cpu import CpuConfig, CpuModel
 from repro.arch.fastsim import (
     FastMachine,
+    cold_and_steady_memory,
     cpu_pass,
     data_blocks,
     fetch_runs,
@@ -23,6 +26,7 @@ from repro.core.fastwalk import FastWalker
 from repro.core.walker import Walker
 from repro.harness.configs import CONFIG_NAMES, build_configured_program_cached
 from repro.harness.experiment import Experiment
+from tests.arch.test_state_tokens import HOPS, SEGMENTS, configs
 
 CELLS = [(stack, config) for stack in ("tcpip", "rpc")
          for config in CONFIG_NAMES]
@@ -73,6 +77,24 @@ def test_convergence_shortcut_is_exact_for_long_warmups(walks):
     _, steady = simulate_cold_and_steady(walk.packed, warmup_rounds=6)
     assert steady == MachineSimulator().run_steady_state(
         walk.trace, warmup_rounds=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs(), segments=SEGMENTS,
+       hops=st.lists(HOPS, min_size=1, max_size=8),
+       warmup_rounds=st.integers(min_value=1, max_value=6))
+def test_convergence_shortcut_is_exact_on_random_geometries(
+        config, segments, hops, warmup_rounds):
+    # random geometries, store modes and write-buffer depths 1-8: the
+    # shortcut's cold and steady counters, every one of them, equal a cold
+    # reference run and a reference steady state on fresh machines
+    for segment in segments + hops:
+        entries = segment.entries()
+        cold, steady = cold_and_steady_memory(
+            segment, config, warmup_rounds=warmup_rounds)
+        assert cold == MachineSimulator(config).run(entries).memory
+        assert steady == MachineSimulator(config).run_steady_state(
+            entries, warmup_rounds=warmup_rounds).memory
 
 
 def test_warm_up_evolves_state_like_reference(walks):

@@ -88,6 +88,20 @@ SEGMENTS = st.lists(
     max_size=4,
 )
 
+#: short traces whose every instruction jumps among eight blocks, so a
+#: pass over them can leave every tag as it found it while its
+#: stream-buffer content changes
+HOPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=63),
+        st.sampled_from(_OPS),
+        st.integers(min_value=0, max_value=63),
+        st.booleans(),
+    ),
+    min_size=2,
+    max_size=8,
+).map(_segment)
+
 #: (action, argument): pass a segment on the producer, restore an earlier
 #: token onto it, revisit one (restore it, pass a segment without
 #: snapshotting, restore it again), or let the replayer wander off

@@ -1,22 +1,21 @@
-"""The grid study surface: bounds soundness, floors, and rendering."""
+"""The grid study surface: bounds soundness, floors, rendering, and the
+counted stalls held to the attribution oracle."""
 
 import pytest
 
 from repro.api import DatalayoutSpec
 from repro.arch.fastsim import FastMachine
+from repro.arch.simcache import clear_caches
 from repro.arch.simulator import AlphaConfig
-from repro.core.fastwalk import FastWalker
-from repro.core.walker import clone_events
 from repro.datalayout import (
     DATA_TECHNIQUES,
     TECHNIQUE_NAMES,
-    apply_data_layout,
     datalayout_cell,
     run_datalayout_study,
-    survey_data_refs,
 )
-from repro.harness.configs import build_configured_program
-from repro.harness.experiment import Experiment
+from repro.datalayout.study import _image, _walk_cell
+from repro.harness.configs import CONFIG_NAMES
+from repro.harness.profile import attribute_passes
 from repro.obs import Attribution
 
 
@@ -92,60 +91,58 @@ class TestStudySurface:
             assert cell.wb_steady < floor
 
 
-class TestAttributionPasses:
-    """The study attributes the passes the engines measure: cold, one
-    warm-up, then steady (``profile_cell``'s structure)."""
+#: the oracle's cells: every (stack, config) on fast, two on the reference
+ORACLE_CELLS = [
+    ("fast", stack, config) for stack in ("tcpip", "rpc") for config in CONFIG_NAMES
+]
+ORACLE_CELLS += [("reference", "tcpip", "STD"), ("reference", "rpc", "CLO")]
 
-    @pytest.fixture
-    def sinks(self, monkeypatch):
-        """Every sink observed: its passes' measure flags and its reports."""
-        seen = {}
-        observe, harvest = Attribution.observe_pass, Attribution.harvest
 
-        def observe_pass(self, trace, log, *, measure):
-            seen.setdefault(self, ([], []))[0].append(measure)
-            return observe(self, trace, log, measure=measure)
+class TestCountedStalls:
+    """The grid counts its write-buffer and d-cache stalls from the
+    engine's counters; :func:`attribute_passes` on the same image is the
+    oracle of those counts."""
 
-        def keep_report(self, label=""):
-            report = harvest(self, label)
-            seen[self][1].append(report)
-            return report
+    @pytest.mark.parametrize("engine,stack,config", ORACLE_CELLS)
+    def test_counts_equal_the_attributed_buckets(self, engine, stack, config):
+        walked = _walk_cell(stack, config, engine=engine, seed=42, opts=None)
+        images = {}
+        for technique in DATA_TECHNIQUES.values():
+            if technique.layout not in images:
+                images[technique.layout] = _image(walked, technique)
+            _, cold, _, steady = attribute_passes(
+                images[technique.layout].walk,
+                walked.program,
+                engine=engine,
+                config=AlphaConfig(memory=technique.memory()),
+            )
+            cell = datalayout_cell(stack, config, technique, engine=engine)
+            where = f"{engine} {stack}/{config}/{technique.name}"
+            assert cell.wb_cold == cold.by_cache()["write-buffer"], where
+            assert cell.wb_steady == steady.by_cache()["write-buffer"], where
+            assert cell.dcache_steady == steady.by_cache()["dcache"], where
 
-        monkeypatch.setattr(Attribution, "observe_pass", observe_pass)
-        monkeypatch.setattr(Attribution, "harvest", keep_report)
-        return seen
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_the_grid_attaches_no_sink(self, engine, monkeypatch):
+        """No cell constructs an :class:`Attribution`, and no kernel pass
+        keeps a decision log."""
+        clear_caches()  # so the fast cells run the kernel
+        sinks, logs = [], []
+        init, mem_pass = Attribution.__init__, FastMachine._mem_pass
 
-    def test_every_cell_runs_three_passes(self, sinks):
-        study = run_datalayout_study(
-            DatalayoutSpec(techniques=("all",), configs=("STD",))
-        )
-        assert len(sinks) == len(study.cells)
-        for measures, _reports in sinks.values():
-            assert measures == [True, False, True]
+        def spy_init(self, *args, **kwargs):
+            sinks.append(self)
+            init(self, *args, **kwargs)
 
-    @pytest.mark.parametrize("name", ["baseline", "all"])
-    def test_steady_buckets_match_a_machine_harvest(self, sinks, name):
-        technique = DATA_TECHNIQUES[name]
-        datalayout_cell("tcpip", "STD", technique)
-        [(_measures, (_cold, steady))] = sinks.values()
+        def spy_pass(self, packed, track=False, log=None):
+            logs.append(log)
+            return mem_pass(self, packed, track, log)
 
-        build = build_configured_program("tcpip", "STD", None)
-        plan = survey_data_refs(build.program).plan(
-            pack=technique.pack,
-            split=technique.split,
-            block_size=technique.memory().block_size,
-        )
-        apply_data_layout(build.program, plan.remaps)
-        events, data_env = Experiment("tcpip", "STD").capture_roundtrip(42)
-        walk = FastWalker(build.program, dict(data_env)).walk(clone_events(events))
-        config = AlphaConfig(memory=technique.memory())
-        sink = Attribution(build.program, config=config)
-        machine = FastMachine(config, sink=sink)
-        machine.run(walk.packed)
-        sink.harvest("cold")
-        machine.warm_up(walk.packed)
-        machine.run(walk.packed)
-        expected = sink.harvest("steady")
-        assert steady.buckets == expected.buckets
-        assert steady.instructions == expected.instructions
-        assert steady.conflicts.counts == expected.conflicts.counts
+        monkeypatch.setattr(Attribution, "__init__", spy_init)
+        monkeypatch.setattr(FastMachine, "_mem_pass", spy_pass)
+        spec = DatalayoutSpec(techniques=("all",), stacks=("tcpip",), configs=("STD",))
+        study = run_datalayout_study(spec, engine=engine)
+        assert len(study.cells) == 2
+        assert sinks == []
+        assert all(log is None for log in logs)
+        assert bool(logs) == (engine == "fast")

@@ -139,8 +139,9 @@ PLANS = st.lists(
 def test_engines_log_identically_on_random_plans(config, segments, plan):
     """On random geometries, store modes and write-buffer depths, over a
     random plan of measured and warm-up passes on several segments, both
-    engines log the same decisions on every pass, their reports agree, and
-    each report's total is the engine's stall delta."""
+    engines log the same decisions on every pass, their reports agree,
+    each report's total is the engine's stall delta, and each engine's
+    counts price its report's write-buffer and d-cache stalls."""
     fast_sink = LoggingSink(config=config)
     ref_sink = LoggingSink(config=config)
     fast = FastMachine(config, sink=fast_sink)
@@ -153,13 +154,17 @@ def test_engines_log_identically_on_random_plans(config, segments, plan):
             ref.warm_up(entries[k])
             assert fast_sink.logs[-1] == ref_sink.logs[-1], f"warm-up {step}"
             continue
-        f_stalls = fast.run(segments[k]).memory.stall_cycles
-        r_stalls = ref.run(entries[k]).memory.stall_cycles
+        f_mem = fast.run(segments[k]).memory
+        r_mem = ref.run(entries[k]).memory
         assert fast_sink.logs[-1] == ref_sink.logs[-1], f"measured pass {step}"
         f_report, r_report = fast_sink.harvest(), ref_sink.harvest()
         assert f_report.to_json() == r_report.to_json(), f"measured pass {step}"
-        assert f_report.total_stall_cycles == f_stalls
-        assert r_report.total_stall_cycles == r_stalls
+        assert f_report.total_stall_cycles == f_mem.stall_cycles
+        assert r_report.total_stall_cycles == r_mem.stall_cycles
+        for report, mem in ((f_report, f_mem), (r_report, r_mem)):
+            by_cache = report.by_cache()
+            assert mem.write_buffer_stalls(config.memory) == by_cache["write-buffer"]
+            assert mem.dcache_stalls(config.memory) == by_cache["dcache"]
 
 
 @pytest.mark.parametrize("stack", ["tcpip", "rpc"])

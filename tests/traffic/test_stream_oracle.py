@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.arch.fastsim import FastMachine
+from repro.arch.fastsim import N_COUNTERS, FastMachine
 from repro.traffic import TrafficSpec, run_traffic_point
 from repro.traffic.segments import SegmentLibrary
 from repro.traffic.stream import TransitionStream, make_stream_machine
@@ -45,7 +45,7 @@ def library():
 
 def _naive_totals(machine, library, scheme, sequence):
     machine.reset()
-    totals = [0] * 15
+    totals = [0] * N_COUNTERS
     for variant in sequence:
         packed, _cpu = library.segment(variant, scheme)
         delta = machine.mem_delta(packed)
@@ -101,11 +101,14 @@ class TestPhasesUnderEviction:
         rng = random.Random(5)
         sequence = [rng.choice(VARIANTS) for _ in range(80)]
         machine = FastMachine()
-        expected = {"warmup": ([0] * 15, Counter()), "steady": ([0] * 15, Counter())}
+        expected = {
+            "warmup": ([0] * N_COUNTERS, Counter()),
+            "steady": ([0] * N_COUNTERS, Counter()),
+        }
         for i, variant in enumerate(sequence):
             totals, segs = expected["warmup" if i < split else "steady"]
             delta = machine.mem_delta(library.segment(variant, scheme)[0])
-            for j in range(15):
+            for j in range(N_COUNTERS):
                 totals[j] += delta[j]
             segs[variant] += 1
 
